@@ -29,9 +29,6 @@ from .transport import (
     Listener,
     connect,
     net_connect,
-    net_disconnect,
-    net_receive_frame,
-    net_send,
     parse_hostport,
 )
 from .wire import (
@@ -80,9 +77,6 @@ __all__ = [
     "generate_key",
     "init_cache",
     "net_connect",
-    "net_disconnect",
-    "net_receive_frame",
-    "net_send",
     "open_store",
     "parse_hostport",
     "reencrypt",

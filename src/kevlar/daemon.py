@@ -2,10 +2,13 @@
 
 The daemon is invoked once and then serves cache and re-encryption
 requests over the wire protocol until it receives QUIT or a signal.
-Exactly one thread owns the cache and processes frames in arrival
-order; connection handling happens on reader threads that feed it
-through a queue, so responses on a connection are never reordered and
-no request input can kill the serving loop.
+Exactly one thread owns the cache and every socket: it runs a
+`selectors` event loop over the listener and all connections, and
+handles each connection's lines in arrival order, so responses on a
+connection are never reordered and no request input can kill the loop.
+A peer that stops reading its replies stops being read once its unsent
+replies pass a bound, so it cannot stall the others or grow the
+daemon's buffers.
 
 In reverse-connect mode (the default) the daemon dials out to the
 untrusted peer's listening socket, retrying until it appears, and
@@ -22,10 +25,11 @@ import contextlib
 import enum
 import logging
 import os
-import queue
+import selectors
 import signal
 import sys
 import threading
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +71,11 @@ from .wire import (
 )
 
 logger = logging.getLogger(__name__)
+
+#: A connection whose unsent reply bytes exceed this many max_frame-sized
+#: frames is not read, nor are its buffered lines handled, until the
+#: peer takes enough of them.
+OUTPUT_LIMIT_FRAMES = 4
 
 
 class ErrorCode(enum.Enum):
@@ -150,22 +159,23 @@ def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
 
 
 class Daemon:
-    """One store, one cache, one request-processing thread.
+    """One store, one cache, and one thread that serves every connection.
 
-    Usage: construct, start() (spawns the connection source), then
-    serve_forever() on the thread that is to own the cache.
+    Usage: construct, start() (binds the listener in LISTEN mode), then
+    serve_forever() on the thread that is to own the cache and the
+    sockets.  shutdown() only asks that loop to stop, so it is safe
+    from any thread or a signal handler.
     """
 
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
         self._store = open_store(config.store_dir, config.keyfile)
         self._cache = init_cache(config.cache, self._store)
-        self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
         self._conns: set[Connection] = set()
-        self._conns_lock = threading.Lock()
         self._listener: Listener | None = None
-        self._threads: list[threading.Thread] = []
+        self._selector = selectors.DefaultSelector()
+        self._output_limit = OUTPUT_LIMIT_FRAMES * config.max_frame
 
     @property
     def address(self) -> tuple[str, int]:
@@ -182,40 +192,96 @@ class Daemon:
         endpoint = self.config.endpoint
         if endpoint.mode is ConnectionMode.LISTEN:
             self._listener = Listener(endpoint.host, endpoint.port)
-            source = threading.Thread(target=self._acceptor, name="kevlar-accept", daemon=True)
-        else:
-            source = threading.Thread(target=self._dialer, name="kevlar-dial", daemon=True)
-        source.start()
-        self._threads.append(source)
+            self._selector.register(self._listener, selectors.EVENT_READ)
 
     def serve_forever(self) -> None:
-        """Process frames in arrival order until QUIT or shutdown()."""
-        while not self._stop.is_set():
-            try:
-                kind, conn, payload = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if kind == "closed":
-                with self._conns_lock:
-                    self._conns.discard(conn)
-                continue
-            self._handle_frame(conn, payload)
+        """Serve every connection until QUIT or shutdown(), then close them."""
+        try:
+            while not self._stop.is_set():
+                if self._listener is None and not self._conns:
+                    self._dial()
+                    continue
+                for key, events in self._selector.select(timeout=0.1):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._service(key, events)
+        finally:
+            for conn in list(self._conns):
+                self._drop(conn)
 
     def shutdown(self) -> None:
-        """Stop serving and close every connection; safe from any thread."""
+        """Ask serve_forever() to stop; safe from any thread or a signal handler."""
         self._stop.set()
-        if self._listener is not None:
-            self._listener.close()
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            conn.close()
 
     def close(self) -> None:
+        if self._listener is not None:
+            self._listener.close()
+        self._selector.close()
         self._cache.free()
         self._store.close()
 
     # -- internals ---------------------------------------------------------
+
+    def _accept(self) -> None:
+        try:
+            conn = self._listener.accept(timeout=0, max_frame=self.config.max_frame)
+        except TransportError:
+            return
+        self._add(conn)
+
+    def _dial(self) -> None:
+        endpoint = self.config.endpoint
+        try:
+            conn = connect(
+                endpoint.host,
+                endpoint.port,
+                timeout=self.config.connect_timeout,
+                max_frame=self.config.max_frame,
+            )
+        except TransportError:
+            self._stop.wait(self.config.retry_interval)
+            return
+        self._add(conn)
+
+    def _add(self, conn: Connection) -> None:
+        logger.debug("serving %s", conn.peer)
+        conn.setblocking(False)
+        self._conns.add(conn)
+        self._selector.register(conn, selectors.EVENT_READ, conn)
+
+    def _drop(self, conn: Connection) -> None:
+        self._selector.unregister(conn)
+        self._conns.discard(conn)
+        conn.close()
+
+    def _service(self, key: selectors.SelectorKey, events: int) -> None:
+        """One readiness event: write, read once, handle the buffered lines."""
+        conn: Connection = key.data
+        try:
+            if events & selectors.EVENT_WRITE:
+                conn.flush()
+            if events & selectors.EVENT_READ:
+                conn.fill()
+            while conn.frame_ready and conn.pending <= self._output_limit:
+                self._handle_frame(conn, conn.receive_frame())
+                if self._stop.is_set():
+                    return
+        except FrameTooLargeError as exc:
+            # Protocol violation: receive_frame already closed the line.
+            logger.warning("dropping %s: %s", conn.peer, exc)
+            self._drop(conn)
+            return
+        except TransportError as exc:
+            logger.debug("connection %s done: %s", conn.peer, exc)
+            self._drop(conn)
+            return
+        # Past the bound only write readiness is watched: the peer is not read.
+        wanted = selectors.EVENT_WRITE if conn.pending else 0
+        if conn.pending <= self._output_limit:
+            wanted |= selectors.EVENT_READ
+        if wanted != key.events:
+            self._selector.modify(conn, wanted, conn)
 
     def _handle_frame(self, conn: Connection, raw: bytes) -> None:
         try:
@@ -224,7 +290,17 @@ class Daemon:
             logger.debug("rejecting malformed frame from %s: %s", conn.peer, exc)
             self._respond(conn, _err(ErrorCode.BAD_REQUEST, str(exc)))
             return
-        response = dispatch(frame, self._cache)
+        try:
+            response = dispatch(frame, self._cache)
+        except Exception as exc:
+            # One thread serves every peer: an unforeseen failure answers
+            # this request and the loop goes on.  Only the exception type
+            # and stack are logged; the message may quote request fields.
+            logger.error(
+                "%s %s failed: unexpected %s\n%s", conn.peer, frame.op, type(exc).__name__,
+                "".join(traceback.format_tb(exc.__traceback__)),
+            )
+            response = _err(ErrorCode.STORE_FAIL, "internal error")
         logger.debug("%s %s -> %s", conn.peer, frame.op, response.op)
         self._respond(conn, response)
         if frame.op == OP_QUIT and response.op == OP_OK:
@@ -236,60 +312,7 @@ class Daemon:
             data = frame_serialize(response, max_frame=self.config.max_frame)
         except InvalidFrameError:
             data = frame_serialize(_err(ErrorCode.TOO_LARGE, "response exceeds frame limit"))
-        try:
-            conn.send(data)
-        except TransportError:
-            conn.close()
-
-    def _register(self, conn: Connection) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-
-    def _read_loop(self, conn: Connection) -> None:
-        logger.debug("serving %s", conn.peer)
-        while True:
-            try:
-                raw = conn.receive_frame()
-            except FrameTooLargeError as exc:
-                # Protocol violation: receive_frame already closed the line.
-                logger.warning("dropping %s: %s", conn.peer, exc)
-                break
-            except TransportError as exc:
-                logger.debug("connection %s done: %s", conn.peer, exc)
-                conn.close()
-                break
-            self._queue.put(("frame", conn, raw))
-        self._queue.put(("closed", conn, b""))
-
-    def _acceptor(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn = self._listener.accept(timeout=0.2, max_frame=self.config.max_frame)
-            except TransportError:
-                continue
-            self._register(conn)
-            reader = threading.Thread(
-                target=self._read_loop, args=(conn,), name="kevlar-read", daemon=True
-            )
-            reader.start()
-            self._threads.append(reader)
-
-    def _dialer(self) -> None:
-        endpoint = self.config.endpoint
-        while not self._stop.is_set():
-            try:
-                conn = connect(
-                    endpoint.host,
-                    endpoint.port,
-                    timeout=self.config.connect_timeout,
-                    max_frame=self.config.max_frame,
-                )
-            except TransportError:
-                self._stop.wait(self.config.retry_interval)
-                continue
-            self._register(conn)
-            self._read_loop(conn)
+        conn.send(data)
 
 
 @contextlib.contextmanager

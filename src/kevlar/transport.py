@@ -6,7 +6,10 @@ dials out to a socket the untrusted peer listens on.  LISTEN mode
 
 A Connection is single-owner.  Frame extraction is exactly the
 newline-split of the byte stream, regardless of TCP segmentation, and
-the receive buffer is bounded by max_frame.
+the receive buffer is bounded by max_frame.  The same Connection serves
+blocking callers, where send() writes every byte before it returns, and
+an event loop on a non-blocking socket, which asks frame_ready before
+receive_frame() and calls fill() and flush() on readiness events.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class Connection:
         self._sock = sock
         self._max_frame = max_frame
         self._buf = bytearray()
+        self._out = bytearray()
         self._open = True
         try:
             self._peer = "%s:%d" % sock.getpeername()[:2]
@@ -79,25 +83,59 @@ class Connection:
     def peer(self) -> str:
         return self._peer
 
+    @property
+    def pending(self) -> int:
+        """Bytes passed to send() that the socket has not taken yet."""
+        return len(self._out)
+
+    @property
+    def frame_ready(self) -> bool:
+        """True when receive_frame() returns or raises without reading.
+
+        That is when a whole line, or more than max_frame bytes without
+        a terminator, is buffered.
+        """
+        return b"\n" in self._buf or len(self._buf) > self._max_frame
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def setblocking(self, flag: bool) -> None:
+        self._sock.setblocking(flag)
+
     def send(self, data: bytes) -> None:
-        """Write all bytes, preserving order; short writes are retried."""
+        """Queue bytes behind any unsent ones and write what the socket takes.
+
+        On a blocking socket that is every byte; on a non-blocking one
+        the rest stays in `pending` until flush() writes it.
+        """
         if not self._open:
             raise PeerClosedError("connection is closed")
-        try:
-            self._sock.sendall(data)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            self.close()
-            raise PeerClosedError(f"peer closed during send: {exc}") from exc
-        except OSError as exc:
-            self.close()
-            raise TransportError(f"send failed: {exc}") from exc
+        self._out += data
+        self.flush()
+
+    def flush(self) -> None:
+        """Write unsent bytes, in order, until done or the socket would block."""
+        while self._out:
+            try:
+                sent = self._sock.send(self._out)
+            except BlockingIOError:
+                return
+            except (BrokenPipeError, ConnectionResetError) as exc:
+                self.close()
+                raise PeerClosedError(f"peer closed during send: {exc}") from exc
+            except OSError as exc:
+                self.close()
+                raise TransportError(f"send failed: {exc}") from exc
+            del self._out[:sent]
 
     def receive_frame(self) -> bytes:
         """Block until one newline-terminated line is buffered; return it.
 
         The terminator is included; bytes after it stay buffered for the
         next call.  More than max_frame bytes without a newline is a
-        protocol violation: the connection is closed.
+        protocol violation: the connection is closed.  On a non-blocking
+        socket, call it only when frame_ready is true.
         """
         if not self._open:
             raise PeerClosedError("connection is closed")
@@ -117,23 +155,29 @@ class Connection:
                 raise FrameTooLargeError(
                     f"{len(self._buf)} buffered bytes without a terminator"
                 )
-            self._fill()
+            self.fill()
 
     def receive_exact(self, n: int) -> bytes:
         """Block until exactly n bytes are available and return them."""
         if not self._open:
             raise PeerClosedError("connection is closed")
         while len(self._buf) < n:
-            self._fill()
+            self.fill()
         out = bytes(self._buf[:n])
         del self._buf[:n]
         return out
 
-    def _fill(self) -> None:
+    def fill(self) -> None:
+        """Read once from the socket into the receive buffer.
+
+        Returns without reading when a non-blocking socket has no data.
+        """
         if not self._open:
             raise PeerClosedError("connection is closed")
         try:
             chunk = self._sock.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            return
         except OSError as exc:
             was_open = self._open
             self.close()
@@ -189,6 +233,9 @@ class Listener:
             raise TransportError(f"accept failed: {exc}") from exc
         return Connection(peer_sock, max_frame=max_frame)
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def close(self) -> None:
         self._sock.close()
 
@@ -233,15 +280,3 @@ def net_connect(
         return connect(endpoint.host, endpoint.port, timeout=timeout, max_frame=max_frame)
     with Listener(endpoint.host, endpoint.port) as listener:
         return listener.accept(timeout, max_frame=max_frame)
-
-
-def net_send(conn: Connection, data: bytes) -> None:
-    conn.send(data)
-
-
-def net_receive_frame(conn: Connection) -> bytes:
-    return conn.receive_frame()
-
-
-def net_disconnect(conn: Connection) -> None:
-    conn.close()

@@ -1,13 +1,17 @@
+import contextlib
 import logging
 import random
+import socket
 import threading
+import time
 
 import pytest
 
 from kevlar import crypto
-from kevlar.cache import CacheConfig, init_cache
+from kevlar.cache import Cache, CacheConfig, init_cache
 from kevlar.client import exchange
 from kevlar.daemon import (
+    OUTPUT_LIMIT_FRAMES,
     Daemon,
     DaemonConfig,
     ErrorCode,
@@ -28,9 +32,11 @@ from kevlar.wire import (
 from reference_model import MemoryStore
 
 
-def _dial(daemon):
+def _dial(daemon, io_timeout=None):
     host, port = daemon.address
-    return connect(host, port, timeout=5)
+    conn = connect(host, port, timeout=5)
+    conn._sock.settimeout(io_timeout)
+    return conn
 
 
 def _err_code(frame):
@@ -334,3 +340,101 @@ def test_fuzzed_frames_never_kill_daemon(daemon_config):
         with _dial(daemon) as conn:
             conn.send(b"PING\n")
             assert conn.receive_frame() == b"OK\n"
+
+
+# --- one serving thread: isolation between peers and bounded resources ---
+
+
+@contextlib.contextmanager
+def _stalled_peer(daemon):
+    """A peer that pipelines 1.1 MB of QUERYs and reads none of the 4 KB replies."""
+    with _dial(daemon) as conn:
+        assert exchange(conn, WireFrame("SAVE", (b"big", b"v" * 3000))).op == OP_OK
+    flood = frame_serialize(WireFrame("QUERY", (b"big",))) * 100_000
+    sock = socket.socket()
+    # A small fixed receive window makes the daemon's replies back up quickly.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+    sock.connect(daemon.address)
+
+    def send_flood():
+        with contextlib.suppress(OSError):
+            sock.sendall(flood)
+
+    thread = threading.Thread(target=send_flood, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        sock.shutdown(socket.SHUT_RDWR)  # wakes a sendall blocked on a full window
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
+def test_stalled_peer_does_not_block_others(daemon_config):
+    with daemon_in_thread(daemon_config(max_frame=4096)) as daemon:
+        with _stalled_peer(daemon):
+            time.sleep(0.5)  # let the unread replies fill the socket buffers
+            with _dial(daemon, io_timeout=3.0) as conn:
+                started = time.monotonic()
+                conn.send(b"PING\n")
+                assert conn.receive_frame() == b"OK\n"
+                assert time.monotonic() - started < 1.0
+
+
+def test_stalled_peer_output_stays_bounded(daemon_config):
+    max_frame = 4096
+    limit = OUTPUT_LIMIT_FRAMES * max_frame
+    with daemon_in_thread(daemon_config(max_frame=max_frame)) as daemon:
+        with _stalled_peer(daemon):
+            deadline = time.monotonic() + 5
+            while not any(c.pending > limit for c in list(daemon._conns)):
+                assert time.monotonic() < deadline, "the peer's replies never backed up"
+                time.sleep(0.01)
+            for _ in range(20):
+                assert max(c.pending for c in list(daemon._conns)) <= limit + max_frame
+                time.sleep(0.01)
+
+
+def test_thread_count_does_not_grow_with_connections(live_daemon):
+    conns = [_dial(live_daemon)]
+    try:
+        assert exchange(conns[0], WireFrame("PING")).op == OP_OK
+        threads_with_one = set(threading.enumerate())
+        for _ in range(19):
+            conn = _dial(live_daemon)
+            conns.append(conn)
+            assert exchange(conn, WireFrame("PING")).op == OP_OK
+        assert set(threading.enumerate()) - threads_with_one == set()
+    finally:
+        for conn in conns:
+            conn.close()
+
+
+def test_unexpected_exception_answers_store_fail_and_keeps_serving(live_daemon, monkeypatch,
+                                                                   caplog):
+    real_query = Cache.query
+    raised = []
+
+    def query_failing_once(self, key_id):
+        if not raised:
+            raised.append(key_id)
+            raise RuntimeError(f"injected failure for {key_id!r}")
+        return real_query(self, key_id)
+
+    monkeypatch.setattr(Cache, "query", query_failing_once)
+    with caplog.at_level(logging.DEBUG, logger="kevlar.daemon"):
+        with _dial(live_daemon, io_timeout=5.0) as conn:
+            assert exchange(conn, WireFrame("SAVE", (b"secret-id", b"secret-value"))).op == OP_OK
+            response = exchange(conn, WireFrame("QUERY", (b"secret-id",)))
+            assert _err_code(response) == "STORE_FAIL"
+            assert exchange(conn, WireFrame("PING")).op == OP_OK
+            got = exchange(conn, WireFrame("QUERY", (b"secret-id",)))
+            assert got == WireFrame(OP_OK, (b"secret-value",))
+        with _dial(live_daemon, io_timeout=5.0) as conn:
+            assert exchange(conn, WireFrame("PING")).op == OP_OK
+    assert raised == [b"secret-id"]
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "RuntimeError" in errors[0].getMessage()
+    log_text = "\n".join(r.getMessage() for r in caplog.records)
+    assert "secret-id" not in log_text and "secret-value" not in log_text

@@ -1,4 +1,5 @@
 import random
+import select
 import socket
 import threading
 
@@ -16,9 +17,6 @@ from kevlar.transport import (
     Listener,
     connect,
     net_connect,
-    net_disconnect,
-    net_receive_frame,
-    net_send,
     parse_hostport,
 )
 
@@ -43,8 +41,8 @@ def pair():
 
 def test_send_and_receive_frame(pair):
     client, server = pair
-    net_send(client, b"PING\n")
-    assert net_receive_frame(server) == b"PING\n"
+    client.send(b"PING\n")
+    assert server.receive_frame() == b"PING\n"
 
 
 def test_two_frames_in_one_segment(pair):
@@ -138,14 +136,39 @@ def test_peer_eof_raises_peer_closed(pair):
 
 def test_disconnect_is_idempotent_and_peer_sees_eof(pair):
     client, server = pair
-    net_disconnect(client)
-    net_disconnect(client)  # no-op
+    client.close()
+    client.close()  # no-op
     with pytest.raises(PeerClosedError):
         client.send(b"X\n")
     with pytest.raises(PeerClosedError):
         client.receive_frame()  # local side refuses too
     with pytest.raises(PeerClosedError):
         server.receive_frame()  # EOF observed
+
+
+def test_nonblocking_fill_frame_ready_and_flush(pair):
+    client, server = pair
+    server.setblocking(False)
+    server.fill()  # nothing has arrived: returns instead of blocking or closing
+    assert server.is_open and not server.frame_ready
+    client.send(b"ONE\nTW")
+    select.select([server], [], [], 5)
+    server.fill()
+    assert server.frame_ready
+    assert server.receive_frame() == b"ONE\n"
+    assert not server.frame_ready  # only a partial line is left
+
+    big = bytes(range(256)) * (8 << 12)  # 8 MiB, more than the socket buffers hold
+    got = []
+    reader = threading.Thread(target=lambda: got.append(client.receive_exact(len(big))))
+    server.send(big)
+    assert 0 < server.pending < len(big)
+    reader.start()
+    while server.pending:
+        select.select([], [server], [], 5)
+        server.flush()
+    reader.join(timeout=10)
+    assert got == [big]
 
 
 def test_connect_refused():
