@@ -13,11 +13,6 @@ from .cache import (
     CacheConfig,
     CacheStats,
     Policy,
-    cache_query,
-    cache_save_object,
-    fnv1a_64,
-    free_cache,
-    init_cache,
 )
 from .crypto import CipherEnvelope, decrypt, encrypt, generate_key, reencrypt
 from .daemon import Daemon, DaemonConfig, ErrorCode, daemon_in_thread, dispatch, run_daemon
@@ -62,20 +57,15 @@ __all__ = [
     "base64_decode",
     "base64_decode_length",
     "base64_encode",
-    "cache_query",
-    "cache_save_object",
     "connect",
     "daemon_in_thread",
     "decrypt",
     "dispatch",
     "encrypt",
     "errors",
-    "fnv1a_64",
     "frame_parse",
     "frame_serialize",
-    "free_cache",
     "generate_key",
-    "init_cache",
     "net_connect",
     "open_store",
     "parse_hostport",

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .. import crypto
-from ..cache import CacheConfig, Policy, init_cache
+from ..cache import Cache, CacheConfig, Policy
 from ..client import exchange
 from ..daemon import DaemonConfig, daemon_in_thread
 from ..store import OBJECT_SUFFIX, open_store
@@ -114,42 +114,47 @@ def bench_tcp(sizes=DEFAULT_TCP_SIZES, reps: int = DEFAULT_REPS, seed: int = 0,
               host: str = "127.0.0.1") -> list[BenchRecord]:
     """Incoming throughput of the byte channel, measured at the receiver.
 
-    A sink peer accepts one loopback connection per size; the sender
-    streams reps messages back to back and the sink times each
-    message's arrival.
+    A sender peer dials one loopback connection to a sink.  For each
+    message the sink sends a one-byte request and times until the whole
+    message has arrived, so every sample is one message crossing the
+    channel, never a copy out of bytes that queued up behind an earlier
+    one.  Each rep sends one message of every size in turn, so a change
+    in host speed during the run touches every size alike.
     """
     rng = random.Random(seed)
-    records = []
-    for size in sizes:
-        payload = rng.randbytes(size)
-        with Listener(host, 0) as listener:
-            failure: list[BaseException] = []
+    payloads = [rng.randbytes(size) for size in sizes]
+    by_size: list[list[BenchRecord]] = [[] for _ in sizes]
+    with Listener(host, 0) as listener:
+        failure: list[BaseException] = []
 
-            def send_all(port=listener.port) -> None:
-                try:
-                    with connect(host, port, timeout=5.0) as conn:
-                        for _ in range(reps):
-                            conn.send(payload)
-                except BaseException as exc:
-                    failure.append(exc)
-
-            sender = threading.Thread(target=send_all, daemon=True)
-            sender.start()
+        def send_all() -> None:
             try:
-                with listener.accept(timeout=5.0) as conn:
-                    prev = _now()
-                    for rep in range(reps):
+                with connect(host, listener.port, timeout=5.0) as conn:
+                    for _ in range(reps):
+                        for payload in payloads:
+                            conn.receive_exact(1)
+                            conn.send(payload)
+            except BaseException as exc:
+                failure.append(exc)
+
+        sender = threading.Thread(target=send_all, daemon=True)
+        sender.start()
+        try:
+            with listener.accept(timeout=5.0) as conn:
+                for rep in range(reps):
+                    for size, records in zip(sizes, by_size):
+                        t0 = _now()
+                        conn.send(b"!")
                         conn.receive_exact(size)
-                        now = _now()
-                        records.append(BenchRecord("tcp", size, rep, max(now - prev, 1)))
-                        prev = now
-            except Exception as exc:
-                raise BenchError(f"tcp bench aborted: {exc}") from exc
-            finally:
-                sender.join(timeout=5)
-            if failure:
-                raise BenchError(f"tcp sender failed: {failure[0]}") from failure[0]
-    return records
+                        t1 = _now()
+                        records.append(BenchRecord("tcp", size, rep, max(t1 - t0, 1)))
+        except Exception as exc:
+            raise BenchError(f"tcp bench aborted: {exc}") from exc
+        finally:
+            sender.join(timeout=5)
+        if failure:
+            raise BenchError(f"tcp sender failed: {failure[0]}") from failure[0]
+    return [record for records in by_size for record in records]
 
 
 def bench_store_insert(store_dir: str | Path, keyfile: str | Path,
@@ -205,7 +210,7 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
             ) from exc
         config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
                              id_size=id_size, value_size=65536, policy=policy)
-        cache = init_cache(config, store)
+        cache = Cache(config, store)
         rng = random.Random(seed)
         for q in range(n_queries):
             key_id = ids[rng.randrange(n_keys)]

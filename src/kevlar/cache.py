@@ -34,22 +34,6 @@ from .errors import (
     ValueTooLongError,
 )
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a of a byte string.
-
-    A stable, process-independent id hash kept as public API; the cache
-    itself indexes ids with the built-in dict hash.
-    """
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
 
 class Policy(enum.Enum):
     """Eviction policy: least recently used, or insertion order."""
@@ -202,22 +186,3 @@ class Cache:
         self._entries.clear()
         self._freed = True
 
-
-def init_cache(config: CacheConfig, store) -> Cache:
-    """Build an empty cache over an open store; the backend is not touched."""
-    return Cache(config, store)
-
-
-def free_cache(cache: Cache) -> None:
-    """Release a cache's volatile resources, keeping stored objects intact."""
-    cache.free()
-
-
-def cache_query(cache: Cache, id: bytes) -> bytes:
-    """Fetch the value for id through the cache (either tier)."""
-    return cache.query(id)
-
-
-def cache_save_object(cache: Cache, id: bytes, value: bytes) -> None:
-    """Save a key/value pair write-through (backend first, then volatile)."""
-    cache.save_object(id, value)

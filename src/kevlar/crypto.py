@@ -9,14 +9,38 @@ authenticated tier.
 reencrypt() changes the key of a cipher without the plaintext ever
 leaving this module: it exists only as a local variable between the
 inner decrypt and the outer encrypt.
+
+Each thread keeps, per key, one CBC encryptor and one decryptor that
+are never finalized and only ever fed whole blocks, so no call pays
+for building a cipher.  Such a context carries its chain value (the
+last cipher block it handled) from one call into the next:
+
+* decrypt feeds ``iv || body``.  The IV block absorbs the carried
+  chain value and its output is dropped; every later block is then
+  decrypted against the block before it, which is exactly
+  CBC-decrypt(iv, body).
+* encrypt feeds ``R || plaintext || pad`` with a fresh random block R
+  and takes the first output block as the IV: IV = E_K(R xor chain).
+  E_K is a permutation and R is uniform and independent of everything
+  else, so the IV is uniform and unpredictable.  This is the IV method
+  of NIST SP 800-38A, Appendix C, that applies the forward cipher to a
+  nonce, and the rest of the output is CBC-encrypt(IV, plaintext || pad).
+
+A failed padding check leaves nothing behind that the next call
+depends on, since every call starts by overwriting the chain value.
+Contexts never leave their thread, and the map is keyed by the key
+bytes, so a key that is overwritten in the store simply stops being
+looked up.  The map holds at most _CONTEXTS_PER_THREAD keys and is
+emptied when a new key would exceed that.  Keys and contexts appear in
+no repr, log line or exception message.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import BadPaddingError, MalformedEnvelopeError
@@ -25,17 +49,34 @@ KEY_SIZE = 32
 IV_SIZE = 16
 BLOCK_SIZE = 16
 
+#: Keys whose contexts one thread keeps before it drops them all.
+_CONTEXTS_PER_THREAD = 64
+#: _PADS[n] is the PKCS#7 padding of n bytes (index 0 is never valid).
+_PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
+_local = threading.local()
+
 
 def generate_key() -> bytes:
     """Fresh random 32-byte AES-256 key."""
     return os.urandom(KEY_SIZE)
 
 
-def _check_key(key: bytes) -> bytes:
+def _contexts(key: bytes):
+    """This thread's (encryptor, decryptor) pair for key, built on first use."""
     key = bytes(key)
-    if len(key) != KEY_SIZE:
-        raise ValueError(f"key must be exactly {KEY_SIZE} bytes, got {len(key)}")
-    return key
+    try:
+        contexts = _local.contexts
+    except AttributeError:
+        contexts = _local.contexts = {}
+    pair = contexts.get(key)
+    if pair is None:
+        if len(key) != KEY_SIZE:
+            raise ValueError(f"key must be exactly {KEY_SIZE} bytes, got {len(key)}")
+        if len(contexts) >= _CONTEXTS_PER_THREAD:
+            contexts.clear()
+        cipher = Cipher(algorithms.AES(key), modes.CBC(bytes(IV_SIZE)))
+        pair = contexts[key] = (cipher.encryptor(), cipher.decryptor())
+    return pair
 
 
 @dataclass(frozen=True)
@@ -68,18 +109,17 @@ class CipherEnvelope:
 
 
 def encrypt(key: bytes, plaintext: bytes) -> CipherEnvelope:
-    """Encrypt plaintext under a fresh random IV.
+    """Encrypt plaintext under a fresh unpredictable IV.
 
     PKCS#7 always pads, so the body is one block longer than the
     plaintext rounded down to a block boundary: len(body) =
     (len(plaintext)//16 + 1) * 16.
     """
-    key = _check_key(key)
-    iv = os.urandom(IV_SIZE)
-    padder = padding.PKCS7(BLOCK_SIZE * 8).padder()
-    padded = padder.update(bytes(plaintext)) + padder.finalize()
-    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    return CipherEnvelope(iv, encryptor.update(padded) + encryptor.finalize())
+    encryptor = _contexts(key)[0]
+    plaintext = bytes(plaintext)
+    pad = _PADS[BLOCK_SIZE - len(plaintext) % BLOCK_SIZE]
+    out = encryptor.update(os.urandom(IV_SIZE) + plaintext + pad)
+    return CipherEnvelope(out[:IV_SIZE], out[IV_SIZE:])
 
 
 def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
@@ -88,14 +128,12 @@ def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
     Padding validation is probabilistic tamper detection only: a wrong
     key slips through roughly once in 256 attempts and yields garbage.
     """
-    key = _check_key(key)
-    decryptor = Cipher(algorithms.AES(key), modes.CBC(envelope.iv)).decryptor()
-    padded = decryptor.update(envelope.body) + decryptor.finalize()
-    unpadder = padding.PKCS7(BLOCK_SIZE * 8).unpadder()
-    try:
-        return unpadder.update(padded) + unpadder.finalize()
-    except ValueError as exc:
-        raise BadPaddingError("invalid padding after decryption") from exc
+    decryptor = _contexts(key)[1]
+    padded = decryptor.update(envelope.iv + envelope.body)[IV_SIZE:]
+    n = padded[-1]
+    if not 1 <= n <= BLOCK_SIZE or not padded.endswith(_PADS[n]):
+        raise BadPaddingError("invalid padding after decryption")
+    return padded[:-n]
 
 
 def reencrypt(key_from: bytes, key_to: bytes, envelope: CipherEnvelope) -> CipherEnvelope:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import crypto
-from .cache import Cache, CacheConfig, Policy, init_cache
+from .cache import Cache, CacheConfig, Policy
 from .errors import (
     BadPaddingError,
     FrameTooLargeError,
@@ -170,7 +170,7 @@ class Daemon:
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
         self._store = open_store(config.store_dir, config.keyfile)
-        self._cache = init_cache(config.cache, self._store)
+        self._cache = Cache(config.cache, self._store)
         self._stop = threading.Event()
         self._conns: set[Connection] = set()
         self._listener: Listener | None = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from kevlar.cache import Cache, CacheConfig, Policy, init_cache
+from kevlar.cache import Cache, CacheConfig, Policy
 from kevlar.errors import NotFoundError
 
 from reference_model import MemoryStore, ModelCache, random_ops
@@ -32,7 +32,7 @@ def run_equivalence(seed: int, n_ops: int, *, capacity: int | None = None,
     store = MemoryStore()
     config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
                          id_size=8, value_size=64, policy=policy)
-    cache: Cache = init_cache(config, store)
+    cache = Cache(config, store)
     model = ModelCache(capacity, policy, backend={})
 
     queries = 0
@@ -69,7 +69,7 @@ def run_equivalence(seed: int, n_ops: int, *, capacity: int | None = None,
             model.free()
             classified += drain_stats(cache)
             cache.free()
-            cache = init_cache(config, store)
+            cache = Cache(config, store)
         assert len(cache) <= capacity, "capacity exceeded"
 
     assert cache.resident_ids() == model.resident_ids(), (

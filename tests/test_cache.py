@@ -7,11 +7,6 @@ from kevlar.cache import (
     Cache,
     CacheConfig,
     Policy,
-    cache_query,
-    cache_save_object,
-    fnv1a_64,
-    free_cache,
-    init_cache,
 )
 from kevlar.errors import (
     IdTooLongError,
@@ -30,7 +25,7 @@ def make_cache(capacity=2, bucket_count=16, id_size=12, value_size=32,
     store = store if store is not None else MemoryStore()
     config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
                          id_size=id_size, value_size=value_size, policy=policy)
-    return init_cache(config, store), store
+    return Cache(config, store), store
 
 
 def test_init_cache_is_empty_and_does_not_touch_backend():
@@ -217,13 +212,13 @@ def test_oversized_backend_value_bypasses_volatile_tier():
 
 def test_free_releases_volatile_and_keeps_backend(tmp_path, store):
     config = CacheConfig(capacity=4, bucket_count=8, id_size=12, value_size=32)
-    cache = init_cache(config, store)
+    cache = Cache(config, store)
     for key_id in (b"k1", b"k2", b"k3"):
         cache.save_object(key_id, key_id + b"-v")
     digest_before = {
         p.name: hashlib.sha256(p.read_bytes()).digest() for p in store.root_dir.iterdir()
     }
-    free_cache(cache)
+    cache.free()
     digest_after = {
         p.name: hashlib.sha256(p.read_bytes()).digest() for p in store.root_dir.iterdir()
     }
@@ -233,7 +228,7 @@ def test_free_releases_volatile_and_keeps_backend(tmp_path, store):
     with pytest.raises(RuntimeError):
         cache.query(b"k1")
     # a fresh cache over the same store repopulates on demand
-    fresh = init_cache(config, store)
+    fresh = Cache(config, store)
     assert len(fresh) == 0
     assert fresh.query(b"k2") == b"k2-v"
     assert fresh.stats.misses == 1
@@ -242,8 +237,8 @@ def test_free_releases_volatile_and_keeps_backend(tmp_path, store):
 
 def test_free_on_empty_cache_is_noop_on_storage(tmp_path, store):
     names_before = sorted(p.name for p in store.root_dir.iterdir())
-    cache = init_cache(CacheConfig(capacity=2), store)
-    free_cache(cache)
+    cache = Cache(CacheConfig(capacity=2), store)
+    cache.free()
     assert sorted(p.name for p in store.root_dir.iterdir()) == names_before
 
 
@@ -266,23 +261,6 @@ def test_contains_does_not_refresh_recency():
     assert b"a" in cache                # membership check, not an access
     cache.save_object(b"c", b"vc")      # must evict a, not b
     assert sorted(cache.resident_ids()) == [b"b", b"c"]
-
-
-def test_fnv1a_known_values():
-    # Published FNV-1a 64-bit vectors.
-    assert fnv1a_64(b"") == 0xCBF29CE484222325
-    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
-
-
-def test_flat_api_wrappers():
-    store = MemoryStore()
-    cache = init_cache(CacheConfig(capacity=2), store)
-    cache_save_object(cache, b"id", b"value")
-    assert cache_query(cache, b"id") == b"value"
-    free_cache(cache)
-    with pytest.raises(RuntimeError):
-        cache_query(cache, b"id")
 
 
 def test_stats_account_for_every_query():

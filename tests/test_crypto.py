@@ -1,10 +1,16 @@
 import os
 import random
+import sys
+import threading
+import time
 
 import pytest
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, strategies as st
 
 import reference_aes as oracle
+from kevlar import crypto
 from kevlar.crypto import (
     BLOCK_SIZE,
     KEY_SIZE,
@@ -149,3 +155,166 @@ def test_cross_validation_against_reference_oracle():
         iv = rng.randbytes(16)
         body = oracle.cbc_encrypt(key, iv, message)
         assert decrypt(key, CipherEnvelope(iv, body)) == message
+
+
+# --- differential tests against the library's own CBC + PKCS#7 path --------
+#
+# The oracle builds a cipher per call and unpads with padding.PKCS7, as
+# the module did before it kept per-key contexts.
+
+
+def library_encrypt(key, iv, plaintext):
+    padder = padding.PKCS7(128).padder()
+    padded = padder.update(plaintext) + padder.finalize()
+    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    return encryptor.update(padded) + encryptor.finalize()
+
+
+def library_decrypt(key, iv, body):
+    """Plaintext, or None where the library unpadder rejects the padding."""
+    decryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor()
+    padded = decryptor.update(body) + decryptor.finalize()
+    unpadder = padding.PKCS7(128).unpadder()
+    try:
+        return unpadder.update(padded) + unpadder.finalize()
+    except ValueError:
+        return None
+
+
+def raw_cbc_encrypt(key, iv, blocks):
+    """CBC without padding: lets a test choose the decrypted tail."""
+    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    return encryptor.update(blocks) + encryptor.finalize()
+
+
+def outcome(key, envelope):
+    try:
+        return decrypt(key, envelope)
+    except BadPaddingError:
+        return None
+
+
+def test_every_length_matches_library_on_fixed_and_fresh_ivs():
+    rng = random.Random(6)
+    key = rng.randbytes(KEY_SIZE)
+    fixed_ivs = (bytes(16), b"\xff" * 16, rng.randbytes(16))
+    for n in range(81):
+        message = rng.randbytes(n)
+        for iv in fixed_ivs:
+            body = library_encrypt(key, iv, message)
+            assert decrypt(key, CipherEnvelope(iv, body)) == message
+        # encrypt's fresh IV: the body must be exactly CBC under that IV
+        envelope = encrypt(key, message)
+        assert envelope.body == library_encrypt(key, envelope.iv, message)
+        assert library_decrypt(key, envelope.iv, envelope.body) == message
+
+
+def test_wrong_key_envelopes_fail_exactly_where_library_fails():
+    rng = random.Random(7)
+    keys = [rng.randbytes(KEY_SIZE) for _ in range(3)]
+    rejected = accepted = 0
+    for _ in range(20_000):
+        sealer, opener = rng.sample(keys, 2)
+        iv = rng.randbytes(16)
+        body = library_encrypt(sealer, iv, rng.randbytes(rng.randint(0, 48)))
+        expected = library_decrypt(opener, iv, body)
+        assert outcome(opener, CipherEnvelope(iv, body)) == expected
+        if expected is None:
+            rejected += 1
+        else:
+            accepted += 1
+    assert rejected > 19_000 and accepted > 0
+
+
+def test_every_padding_tail_matches_library():
+    # Choose the decrypted last block: pad byte v preceded by k copies of
+    # itself, for every byte value and every k, so both the range check
+    # and the run check are hit at each boundary.
+    rng = random.Random(8)
+    key = rng.randbytes(KEY_SIZE)
+    for v in range(256):
+        for k in range(16):
+            block = bytearray(rng.randbytes(16))
+            block[15 - k:] = bytes([v]) * (k + 1)
+            if k < 15:
+                block[14 - k] = (v + 1 + rng.randrange(255)) % 256  # the run stops here
+            blocks = rng.randbytes(16 * rng.randint(0, 2)) + bytes(block)
+            iv = rng.randbytes(16)
+            body = raw_cbc_encrypt(key, iv, blocks)
+            assert outcome(key, CipherEnvelope(iv, body)) == library_decrypt(key, iv, body)
+
+
+def test_interleaved_keys_and_failures_do_not_poison_contexts():
+    rng = random.Random(9)
+    keys = [rng.randbytes(KEY_SIZE) for _ in range(4)]
+    for trial in range(2000):
+        key = rng.choice(keys)
+        message = rng.randbytes(rng.randint(0, 64))
+        # a failing call first: random blocks almost never pad correctly
+        bogus = CipherEnvelope(rng.randbytes(16), rng.randbytes(32))
+        assert outcome(key, bogus) == library_decrypt(key, bogus.iv, bogus.body)
+        envelope = encrypt(key, message)
+        assert envelope.body == library_encrypt(key, envelope.iv, message)
+        other = rng.choice(keys)
+        rotated = reencrypt(key, other, envelope)
+        assert library_decrypt(other, rotated.iv, rotated.body) == message
+        if trial % 100 == 0:
+            assert oracle.cbc_decrypt(other, rotated.iv, rotated.body) == message
+            iv = rng.randbytes(16)
+            assert decrypt(key, CipherEnvelope(iv, oracle.cbc_encrypt(key, iv, message))) == message
+
+
+def test_bad_padding_then_valid_call_under_same_key():
+    key = generate_key()
+    with pytest.raises(BadPaddingError, match="^invalid padding after decryption$"):
+        decrypt(key, CipherEnvelope(bytes(16), raw_cbc_encrypt(key, bytes(16), b"\x00" * 32)))
+    envelope = encrypt(key, b"after a failure")
+    assert decrypt(key, envelope) == b"after a failure"
+    assert envelope.body == library_encrypt(key, envelope.iv, b"after a failure")
+
+
+def test_key_types_and_context_bound():
+    key = generate_key()
+    envelope = encrypt(bytearray(key), b"x")
+    assert decrypt(memoryview(key), envelope) == b"x"
+    for _ in range(crypto._CONTEXTS_PER_THREAD + 5):
+        encrypt(generate_key(), b"y")
+        assert len(crypto._local.contexts) <= crypto._CONTEXTS_PER_THREAD
+    assert decrypt(key, envelope) == b"x"
+
+
+def test_threads_sharing_keys_round_trip():
+    keys = [generate_key() for _ in range(3)]
+    failures = []
+    calls = [0] * 8
+    stop = time.monotonic() + 1.0
+
+    def worker(index):
+        rng = random.Random(index)
+        try:
+            while time.monotonic() < stop:
+                k1, k2 = rng.choice(keys), rng.choice(keys)
+                message = rng.randbytes(rng.randint(0, 100))
+                envelope = encrypt(k1, message)
+                if decrypt(k1, envelope) != message:
+                    failures.append(f"thread {index}: decrypt mismatch")
+                rotated = reencrypt(k1, k2, envelope)
+                if library_decrypt(k2, rotated.iv, rotated.body) != message:
+                    failures.append(f"thread {index}: reencrypt mismatch")
+                calls[index] += 1
+        except Exception as exc:  # a RuntimeError here means a shared context
+            failures.append(f"thread {index}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert all(calls)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from kevlar import crypto
-from kevlar.cache import Cache, CacheConfig, init_cache
+from kevlar.cache import Cache, CacheConfig
 from kevlar.client import exchange
 from kevlar.daemon import (
     OUTPUT_LIMIT_FRAMES,
@@ -49,8 +49,8 @@ def _err_code(frame):
 
 @pytest.fixture
 def cache():
-    return init_cache(CacheConfig(capacity=8, bucket_count=8, id_size=32, value_size=64),
-                      MemoryStore())
+    return Cache(CacheConfig(capacity=8, bucket_count=8, id_size=32, value_size=64),
+                 MemoryStore())
 
 
 def test_dispatch_ping(cache):
