@@ -187,7 +187,6 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
                       n_keys: int = DEFAULT_STORE_KEYS, capacity: int = 50,
                       n_queries: int = 10000, seed: int = 0,
                       id_size: int = DEFAULT_STORE_ID_SIZE,
-                      bucket_count: int = 64,
                       policy: Policy = Policy.LRU) -> list[BenchRecord]:
     """Uniform random queries against a pre-filled store, tagged hit|miss.
 
@@ -208,8 +207,8 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
                 f"store at {store_dir} is not pre-filled with {n_keys} keys "
                 f"(run store-insert first): {exc}"
             ) from exc
-        config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
-                             id_size=id_size, value_size=65536, policy=policy)
+        config = CacheConfig(capacity=capacity, id_size=id_size, value_size=65536,
+                             policy=policy)
         cache = Cache(config, store)
         rng = random.Random(seed)
         for q in range(n_queries):
@@ -267,8 +266,7 @@ def bench_ecg_stream(n_clients: int = 1, stream_seconds: float = 60.0, seed: int
             endpoint=Endpoint("127.0.0.1", 0, ConnectionMode.LISTEN),
             store_dir=Path(tmp) / "store",
             keyfile=Path(tmp) / "sealing.key",
-            cache=CacheConfig(capacity=max(4, 2 * n_clients), bucket_count=64,
-                              id_size=32, value_size=64),
+            cache=CacheConfig(capacity=max(4, 2 * n_clients), id_size=32, value_size=64),
         )
         with daemon_in_thread(config) as daemon:
             host, port = daemon.address

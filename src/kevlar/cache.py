@@ -48,18 +48,16 @@ class CacheConfig:
 
     capacity counts entries (not bytes); id_size and value_size are
     maxima in bytes, shorter ids and values are stored at their actual
-    length.  bucket_count is validated like the other bounds but
-    otherwise ignored: the index is a dict that sizes itself.
+    length.
     """
 
     capacity: int
-    bucket_count: int = 64
     id_size: int = 128
     value_size: int = 65536
     policy: Policy = Policy.LRU
 
     def __post_init__(self) -> None:
-        for name in ("capacity", "bucket_count", "id_size", "value_size"):
+        for name in ("capacity", "id_size", "value_size"):
             bound = getattr(self, name)
             if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
                 raise InvalidConfigError(f"{name} must be a positive integer, got {bound!r}")

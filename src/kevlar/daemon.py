@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store-dir", default=_env("STORE_DIR", "./kevlar-store"))
     parser.add_argument("--keyfile", default=_env("KEYFILE", "./kevlar.key"))
     parser.add_argument("--capacity", type=int, default=_env("CAPACITY", "128"))
-    parser.add_argument("--buckets", type=int, default=_env("BUCKETS", "64"),
-                        help="accepted and validated (positive integer) but ignored")
     parser.add_argument("--id-size", type=int, default=_env("ID_SIZE", "128"))
     parser.add_argument("--value-size", type=int, default=_env("VALUE_SIZE", "65536"))
     parser.add_argument("--policy", choices=("lru", "fifo"), default=_env("POLICY", "lru"))
@@ -397,7 +395,6 @@ def main(argv=None) -> int:
             keyfile=Path(args.keyfile),
             cache=CacheConfig(
                 capacity=args.capacity,
-                bucket_count=args.buckets,
                 id_size=args.id_size,
                 value_size=args.value_size,
                 policy=Policy(args.policy),

@@ -6,14 +6,16 @@ Everything crossing the TCP boundary is one protocol line:
 
 OP is 1..32 uppercase ASCII letters.  Fields travel base64-encoded, so
 the ``|`` delimiter and the ``\\n`` terminator can never occur inside
-them.  Decoding is strict: non-alphabet characters, bad padding, and
-non-canonical trailing bits are all rejected, which keeps serialize and
-parse exact inverses of each other.
+them.  Decoding is strict: a field is accepted only if it is the
+canonical padded encoding of its bytes.  That encoding is unique
+(RFC 4648 section 3.5), so the check is "decode, re-encode, compare",
+which rejects non-alphabet bytes, bad padding and non-canonical
+trailing bits alike and keeps serialize and parse exact inverses of
+each other.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import re
 from dataclasses import dataclass
@@ -37,52 +39,41 @@ KNOWN_OPS = frozenset(
     {OP_SAVE, OP_QUERY, OP_REENC, OP_PING, OP_QUIT, OP_OK, OP_ERR}
 )
 
-_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_SYMBOL_VALUE = {c: i for i, c in enumerate(_ALPHABET)}
-
-_B64_RE = re.compile(
-    r"\A(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=)?\Z"
-)
-_OP_RE = re.compile(r"\A[A-Z]{1,32}\Z")
+_OP_RE = re.compile(rb"\A[A-Z]{1,32}\Z")
 
 
-def _validate_base64(text: str) -> None:
-    """Reject anything outside the canonical padded encoding."""
-    if not isinstance(text, str):
-        raise InvalidBase64Error(f"expected str, got {type(text).__name__}")
-    if not _B64_RE.match(text):
+def _decode_canonical(field: bytes) -> bytes:
+    """Decode one base64 field, accepting only its canonical encoding."""
+    # a2b_base64 skips bytes outside the alphabet and tolerates some bad
+    # padding; the re-encode comparison is what rejects all of those.
+    try:
+        data = binascii.a2b_base64(field)
+    except binascii.Error as exc:
+        raise InvalidBase64Error(str(exc)) from exc
+    if binascii.b2a_base64(data, newline=False) != field:
         raise InvalidBase64Error("not a canonical base64 string")
-    # Canonical form also requires the unused low bits of the final
-    # symbol to be zero: 4 bits before "==", 2 bits before "=".
-    if text.endswith("=="):
-        if _SYMBOL_VALUE[text[-3]] & 0x0F:
-            raise InvalidBase64Error("non-canonical trailing bits")
-    elif text.endswith("="):
-        if _SYMBOL_VALUE[text[-2]] & 0x03:
-            raise InvalidBase64Error("non-canonical trailing bits")
+    return data
 
 
 def base64_encode(data: bytes) -> str:
     """Encode bytes as canonical padded base64 text."""
-    return base64.b64encode(bytes(data)).decode("ascii")
+    return binascii.b2a_base64(bytes(data), newline=False).decode()
 
 
 def base64_decode(text: str) -> bytes:
     """Decode canonical base64 text; raises InvalidBase64Error otherwise."""
-    _validate_base64(text)
+    if not isinstance(text, str):
+        raise InvalidBase64Error(f"expected str, got {type(text).__name__}")
     try:
-        return base64.b64decode(text, validate=True)
-    except binascii.Error as exc:  # pragma: no cover - caught by validation
-        raise InvalidBase64Error(str(exc)) from exc
+        field = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise InvalidBase64Error("non-ASCII character") from exc
+    return _decode_canonical(field)
 
 
 def base64_decode_length(text: str) -> int:
-    """Length of base64_decode(text), computed without decoding."""
-    _validate_base64(text)
-    if not text:
-        return 0
-    pad = 2 if text.endswith("==") else 1 if text.endswith("=") else 0
-    return len(text) // 4 * 3 - pad
+    """Length of base64_decode(text); raises InvalidBase64Error likewise."""
+    return len(base64_decode(text))
 
 
 @dataclass(frozen=True)
@@ -98,35 +89,34 @@ class WireFrame:
 
 def frame_serialize(frame: WireFrame, *, max_frame: int = MAX_FRAME) -> bytes:
     """Serialize a frame into one newline-terminated protocol line."""
-    if not _OP_RE.match(frame.op):
+    # A non-ASCII op becomes "?" here, which the op grammar never matches.
+    op = frame.op.encode("ascii", "replace")
+    if not _OP_RE.match(op):
         raise InvalidFrameError(f"illegal op tag: {frame.op!r}")
-    parts = [frame.op]
-    parts.extend(base64_encode(f) for f in frame.fields)
-    line = ("|".join(parts) + "\n").encode("ascii")
+    parts = [op]
+    parts.extend(binascii.b2a_base64(f, newline=False) for f in frame.fields)
+    line = b"|".join(parts) + b"\n"
     if len(line) > max_frame:
         raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {max_frame}")
     return line
 
 
 def frame_parse(line: bytes, *, max_frame: int = MAX_FRAME) -> WireFrame:
-    """Parse one protocol line back into a WireFrame (inverse of serialize)."""
+    """Parse one protocol line back into a WireFrame (inverse of serialize).
+
+    A newline or non-ASCII byte before the terminator fails either the op
+    grammar or the canonical check of the field that holds it.
+    """
     if len(line) > max_frame:
         raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {max_frame}")
     if not line.endswith(b"\n"):
         raise InvalidFrameError("missing newline terminator")
-    body = line[:-1]
-    if b"\n" in body:
-        raise InvalidFrameError("embedded newline")
-    try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise InvalidFrameError("non-ASCII byte in frame") from exc
-    parts = text.split("|")
-    op = parts[0]
+    op, *fields = line[:-1].split(b"|")
     if not _OP_RE.match(op):
-        raise InvalidFrameError(f"illegal op tag: {op!r}")
+        # Quote only a prefix: the op may run to the end of a max_frame line.
+        raise InvalidFrameError(f"illegal op tag: {op[:40]!r}")
     try:
-        fields = tuple(base64_decode(p) for p in parts[1:])
+        decoded = tuple(_decode_canonical(f) for f in fields)
     except InvalidBase64Error as exc:
         raise InvalidFrameError(f"invalid base64 field: {exc}") from exc
-    return WireFrame(op, fields)
+    return WireFrame(op.decode(), decoded)

@@ -23,7 +23,7 @@ def store(tmp_path):
 def daemon_config(tmp_path):
     def build(*, mode=ConnectionMode.LISTEN, port=0, host="127.0.0.1",
               capacity=64, policy=None, **kwargs):
-        cache_kwargs = dict(capacity=capacity, bucket_count=16, id_size=64, value_size=4096)
+        cache_kwargs = dict(capacity=capacity, id_size=64, value_size=4096)
         if policy is not None:
             cache_kwargs["policy"] = policy
         return DaemonConfig(

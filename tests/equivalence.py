@@ -18,20 +18,17 @@ from reference_model import MemoryStore, ModelCache, random_ops
 
 
 def run_equivalence(seed: int, n_ops: int, *, capacity: int | None = None,
-                    bucket_count: int | None = None, policy: Policy | None = None,
-                    n_ids: int = 32) -> int:
+                    policy: Policy | None = None, n_ids: int = 32) -> int:
     """Replay one random sequence; raises AssertionError on any divergence.
 
     Returns the number of operations applied.
     """
     rng = random.Random(seed ^ 0x5EED)
     capacity = capacity if capacity is not None else rng.randint(1, 8)
-    bucket_count = bucket_count if bucket_count is not None else rng.choice((1, 2, 3, 7, 16))
     policy = policy if policy is not None else (Policy.LRU if seed % 2 == 0 else Policy.FIFO)
 
     store = MemoryStore()
-    config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
-                         id_size=8, value_size=64, policy=policy)
+    config = CacheConfig(capacity=capacity, id_size=8, value_size=64, policy=policy)
     cache = Cache(config, store)
     model = ModelCache(capacity, policy, backend={})
 

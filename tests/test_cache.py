@@ -20,11 +20,10 @@ from equivalence import run_equivalence
 from reference_model import MemoryStore
 
 
-def make_cache(capacity=2, bucket_count=16, id_size=12, value_size=32,
-               policy=Policy.LRU, store=None):
+def make_cache(capacity=2, id_size=12, value_size=32, policy=Policy.LRU, store=None):
     store = store if store is not None else MemoryStore()
-    config = CacheConfig(capacity=capacity, bucket_count=bucket_count,
-                         id_size=id_size, value_size=value_size, policy=policy)
+    config = CacheConfig(capacity=capacity, id_size=id_size, value_size=value_size,
+                         policy=policy)
     return Cache(config, store), store
 
 
@@ -36,8 +35,7 @@ def test_init_cache_is_empty_and_does_not_touch_backend():
 
 
 def test_minimal_legal_config():
-    cache, _ = make_cache(capacity=1, bucket_count=1, id_size=1, value_size=1,
-                          policy=Policy.FIFO)
+    cache, _ = make_cache(capacity=1, id_size=1, value_size=1, policy=Policy.FIFO)
     assert len(cache) == 0
 
 
@@ -46,15 +44,13 @@ def test_minimal_legal_config():
     [
         {"capacity": 0},
         {"capacity": -1},
-        {"bucket_count": 0},
         {"id_size": 0},
         {"value_size": 0},
         {"policy": "lru"},
     ],
 )
 def test_invalid_config_rejected(kwargs):
-    base = dict(capacity=2, bucket_count=16, id_size=12, value_size=32,
-                policy=Policy.LRU)
+    base = dict(capacity=2, id_size=12, value_size=32, policy=Policy.LRU)
     base.update(kwargs)
     with pytest.raises(InvalidConfigError):
         CacheConfig(**base)
@@ -211,7 +207,7 @@ def test_oversized_backend_value_bypasses_volatile_tier():
 
 
 def test_free_releases_volatile_and_keeps_backend(tmp_path, store):
-    config = CacheConfig(capacity=4, bucket_count=8, id_size=12, value_size=32)
+    config = CacheConfig(capacity=4, id_size=12, value_size=32)
     cache = Cache(config, store)
     for key_id in (b"k1", b"k2", b"k3"):
         cache.save_object(key_id, key_id + b"-v")
@@ -242,9 +238,8 @@ def test_free_on_empty_cache_is_noop_on_storage(tmp_path, store):
     assert sorted(p.name for p in store.root_dir.iterdir()) == names_before
 
 
-@pytest.mark.parametrize("bucket_count", [1, 2, 16, 256])
-def test_index_soundness_across_bucket_counts(bucket_count):
-    cache, _ = make_cache(capacity=16, bucket_count=bucket_count, id_size=16)
+def test_index_soundness():
+    cache, _ = make_cache(capacity=16, id_size=16)
     ids = [f"entry-{i:03d}".encode() for i in range(16)]
     for key_id in ids:
         cache.save_object(key_id, key_id)

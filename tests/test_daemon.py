@@ -22,6 +22,7 @@ from kevlar.daemon import (
 from kevlar.errors import PeerClosedError
 from kevlar.transport import ConnectionMode, Endpoint, Listener, connect
 from kevlar.wire import (
+    MAX_FRAME,
     OP_ERR,
     OP_OK,
     WireFrame,
@@ -49,7 +50,7 @@ def _err_code(frame):
 
 @pytest.fixture
 def cache():
-    return Cache(CacheConfig(capacity=8, bucket_count=8, id_size=32, value_size=64),
+    return Cache(CacheConfig(capacity=8, id_size=32, value_size=64),
                  MemoryStore())
 
 
@@ -169,6 +170,14 @@ def test_empty_line_is_bad_request(live_daemon):
     with _dial(live_daemon) as conn:
         conn.send(b"\n")
         assert _err_code(frame_parse(conn.receive_frame())) == "BAD_REQUEST"
+
+
+def test_illegal_op_at_frame_limit_is_bad_request(live_daemon):
+    # The reply quotes a bounded prefix of the op, so it stays small.
+    with _dial(live_daemon) as conn:
+        for junk in (b"a", b"\xff"):
+            conn.send(junk * (MAX_FRAME - 1) + b"\n")
+            assert _err_code(frame_parse(conn.receive_frame())) == "BAD_REQUEST"
 
 
 def test_responses_stay_in_request_order(live_daemon):

@@ -1,3 +1,6 @@
+import base64
+import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,12 @@ INVALID_B64 = [
     "Zm9v\n",     # whitespace
     " Zg==",
     "Zg\x00==",
+    "Z g==",      # inner whitespace
+    "Zg==\r",     # trailing carriage return
+    "Zg===",      # extra padding
+    "Zg==é",      # non-ASCII character
+    "QR==",       # non-canonical trailing bits
+    "QQ=",        # bad padding length
 ]
 
 
@@ -79,7 +88,35 @@ def test_roundtrip_large():
     assert base64_decode(base64_encode(data)) == data
 
 
-@given(st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=", max_size=64))
+_B64_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+# Characters the decoder must never let through: whitespace, NUL,
+# punctuation and non-ASCII (a2b_base64 itself skips most of them).
+_STRAY_CHARS = " \t\r\n\x00|!-_.é\u2028"
+
+
+@st.composite
+def near_base64(draw):
+    """A canonical encoding with a few characters inserted, replaced or deleted."""
+    chars = list(base64_encode(draw(st.binary(max_size=48))))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        char = draw(st.sampled_from(_B64_CHARS + _STRAY_CHARS))
+        if edit == "insert":
+            chars.insert(pos, char)
+        elif pos < len(chars):
+            chars[pos : pos + 1] = [char] if edit == "replace" else []
+    return "".join(chars)
+
+
+_ANY_TEXT = st.one_of(
+    st.text(max_size=64),
+    st.text(alphabet=_B64_CHARS + _STRAY_CHARS, max_size=64),
+    near_base64(),
+)
+
+
+@given(_ANY_TEXT)
 def test_decode_accepts_exactly_the_image_of_encode(text):
     # Decode either rejects, or the input was a canonical encoding.
     try:
@@ -127,6 +164,9 @@ def test_frame_unknown_op_passes_through():
         b"QUERY|Zg=\n",       # bad padding
         b"PING\xff\n",        # non-ASCII
         b"A" * 40 + b"\n",    # op too long
+        b"QUERY|Zg==\r\n",     # CRLF terminator
+        b"SAVE|Zg==|Z\tg==\n",  # tab inside a field
+        b"PING\n\n",           # newline ending the op
     ],
 )
 def test_frame_parse_rejects(line):
@@ -189,3 +229,84 @@ def test_golden_invalid_lines_rejected():
     for specimen in specimens:
         with pytest.raises(InvalidFrameError):
             frame_parse(specimen)
+
+
+# --- differential check against the regex validator ----------------------
+#
+# The decoder used to spell out the canonical-base64 rules by hand: a
+# regex for the alphabet and padding, then a check that the bits the
+# final symbol leaves unused are zero.  That validator and its str-based
+# frame parser are kept here as the reference the re-encode check must
+# agree with.
+
+_REF_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_REF_B64_RE = re.compile(
+    r"\A(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=)?\Z"
+)
+_REF_OP_RE = re.compile(r"\A[A-Z]{1,32}\Z")
+
+
+def reference_base64_decode(text):
+    if not _REF_B64_RE.match(text):
+        raise InvalidBase64Error("not a canonical base64 string")
+    if text.endswith("==") and _REF_ALPHABET.index(text[-3]) & 0x0F:
+        raise InvalidBase64Error("non-canonical trailing bits")
+    if text.endswith("=") and not text.endswith("==") and _REF_ALPHABET.index(text[-2]) & 0x03:
+        raise InvalidBase64Error("non-canonical trailing bits")
+    return base64.b64decode(text, validate=True)
+
+
+def reference_frame_parse(line, max_frame=MAX_FRAME):
+    if len(line) > max_frame:
+        raise FrameTooLargeError("too large")
+    if not line.endswith(b"\n") or b"\n" in line[:-1]:
+        raise InvalidFrameError("bad terminator")
+    try:
+        parts = line[:-1].decode("ascii").split("|")
+    except UnicodeDecodeError as exc:
+        raise InvalidFrameError("non-ASCII") from exc
+    if not _REF_OP_RE.match(parts[0]):
+        raise InvalidFrameError("illegal op")
+    try:
+        return WireFrame(parts[0], tuple(reference_base64_decode(p) for p in parts[1:]))
+    except InvalidBase64Error as exc:
+        raise InvalidFrameError("invalid base64 field") from exc
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except (InvalidBase64Error, InvalidFrameError) as exc:
+        return type(exc)
+
+
+@given(_ANY_TEXT)
+def test_decode_matches_reference_validator(text):
+    assert _outcome(base64_decode, text) == _outcome(reference_base64_decode, text)
+
+
+def test_decode_matches_reference_on_every_short_string():
+    # Every string of up to four symbols over characters that cover each
+    # trailing-bit class, padding, whitespace, NUL and non-ASCII.
+    alphabet = "AQRgh+/= \r\x00é"
+    for n in range(5):
+        for chars in itertools.product(alphabet, repeat=n):
+            text = "".join(chars)
+            assert _outcome(base64_decode, text) == _outcome(reference_base64_decode, text), text
+
+
+_FIELD_BYTES = st.one_of(
+    near_base64().map(lambda t: t.encode("utf-8")),
+    st.binary(max_size=24),
+)
+
+
+@given(
+    op=st.one_of(st.sampled_from(sorted(KNOWN_OPS)), st.binary(max_size=6)),
+    fields=st.lists(_FIELD_BYTES, max_size=4),
+    tail=st.sampled_from((b"\n", b"\r\n", b"", b"\n\n")),
+)
+def test_frame_parse_matches_reference_parser(op, fields, tail):
+    op = op.encode() if isinstance(op, str) else op
+    line = b"|".join([op, *fields]) + tail
+    assert _outcome(frame_parse, line) == _outcome(reference_frame_parse, line)
