@@ -238,9 +238,12 @@ def test_free_on_empty_cache_is_noop_on_storage(tmp_path, store):
     assert sorted(p.name for p in store.root_dir.iterdir()) == names_before
 
 
-def test_index_soundness():
-    cache, _ = make_cache(capacity=16, id_size=16)
-    ids = [f"entry-{i:03d}".encode() for i in range(16)]
+# The cases keep the ids of the bucket-count sweep of the former hashed index;
+# the index is now one ordered dict, so the sweep runs over resident-entry counts.
+@pytest.mark.parametrize("entries", [1, 2, 16, 256])
+def test_index_soundness_across_bucket_counts(entries):
+    cache, _ = make_cache(capacity=entries, id_size=16)
+    ids = [f"entry-{i:03d}".encode() for i in range(entries)]
     for key_id in ids:
         cache.save_object(key_id, key_id)
     for key_id in ids:
