@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import TransportError, WireError
-from .transport import Connection, Listener, connect, parse_hostport
+from .transport import Connection, ConnectionMode, Endpoint, net_connect, parse_hostport
 from .wire import (
     MAX_FRAME,
     OP_ERR,
@@ -47,16 +47,11 @@ def _hex_bytes(text: str) -> bytes:
         raise argparse.ArgumentTypeError(f"not a hex string: {text!r}")
 
 
-def _open_connection(args) -> Connection:
-    if args.mode == "listen":
-        with Listener(args.host, args.port) as listener:
-            return listener.accept(args.timeout)
-    return connect(args.host, args.port, timeout=args.timeout)
-
-
-def _request(args, frame: WireFrame) -> tuple[int, WireFrame | None]:
+def _request(
+    endpoint: Endpoint, timeout: float, frame: WireFrame
+) -> tuple[int, WireFrame | None]:
     try:
-        conn = _open_connection(args)
+        conn = net_connect(endpoint, timeout=timeout)
     except TransportError as exc:
         print(f"kevlar-client: cannot reach daemon: {exc}", file=sys.stderr)
         return EXIT_CONNECT, None
@@ -112,7 +107,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.host, args.port = parse_hostport(args.endpoint)
+        host, port = parse_hostport(args.endpoint)
+        # The mode says how this side opens the connection: connect dials out.
+        mode = ConnectionMode.LISTEN if args.mode == "listen" else ConnectionMode.REVERSE_CONNECT
+        endpoint = Endpoint(host, port, mode)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -127,7 +125,7 @@ def main(argv=None) -> int:
     else:
         frame = WireFrame(OP_QUIT)
 
-    status, response = _request(args, frame)
+    status, response = _request(endpoint, args.timeout, frame)
     if status == EXIT_OK and response is not None and response.fields:
         print(response.fields[0].hex())
     return status

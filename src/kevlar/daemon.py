@@ -107,13 +107,8 @@ def _err(code: ErrorCode, detail: str) -> WireFrame:
     return WireFrame(OP_ERR, (code.value.encode("ascii"), detail.encode("utf-8")))
 
 
-class _BadArity(Exception):
-    pass
-
-
-def _expect(fields: tuple[bytes, ...], count: int, op: str) -> None:
-    if len(fields) != count:
-        raise _BadArity(f"{op} expects {count} field(s), got {len(fields)}")
+#: Field count of every request op; any other op is unknown.
+_ARITY = {OP_PING: 0, OP_QUIT: 0, OP_SAVE: 2, OP_QUERY: 1, OP_REENC: 3}
 
 
 def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
@@ -123,29 +118,26 @@ def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
     For REENC the stored values are used as keys in place and appear in
     no response or log.
     """
-    op, fields = frame.op, frame.fields
+    op, fields = frame
+    arity = _ARITY.get(op)
+    if arity is None:
+        return _err(ErrorCode.BAD_REQUEST, f"unknown op {op}")
+    if len(fields) != arity:
+        return _err(ErrorCode.BAD_REQUEST, f"{op} expects {arity} field(s), got {len(fields)}")
     try:
-        if op == OP_PING or op == OP_QUIT:
-            _expect(fields, 0, op)
-            return _ok()
         if op == OP_SAVE:
-            _expect(fields, 2, op)
             cache.save_object(fields[0], fields[1])
             return _ok()
         if op == OP_QUERY:
-            _expect(fields, 1, op)
             return _ok(cache.query(fields[0]))
         if op == OP_REENC:
-            _expect(fields, 3, op)
             src_key = cache.query(fields[0])
             dst_key = cache.query(fields[1])
             if len(src_key) != crypto.KEY_SIZE or len(dst_key) != crypto.KEY_SIZE:
                 return _err(ErrorCode.CRYPTO_FAIL, "stored value is not a 32-byte key")
             envelope = crypto.CipherEnvelope.from_bytes(fields[2])
             return _ok(crypto.reencrypt(src_key, dst_key, envelope).to_bytes())
-        return _err(ErrorCode.BAD_REQUEST, f"unknown op {op}")
-    except _BadArity as exc:
-        return _err(ErrorCode.BAD_REQUEST, str(exc))
+        return _ok()  # PING, QUIT
     except (IdTooLongError, ValueTooLongError) as exc:
         return _err(ErrorCode.TOO_LARGE, str(exc))
     except NotFoundError as exc:

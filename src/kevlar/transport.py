@@ -52,11 +52,14 @@ class Endpoint:
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
-    """Split a HOST:PORT string; raises ValueError on anything else."""
+    """Split a HOST:PORT string with PORT in 0..65535; raises ValueError otherwise."""
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must be HOST:PORT, got {text!r}")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port out of range: {number}")
+    return host, number
 
 
 class Connection:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import binascii
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FrameTooLargeError, InvalidBase64Error, InvalidFrameError
 
@@ -76,15 +76,11 @@ def base64_decode_length(text: str) -> int:
     return len(base64_decode(text))
 
 
-@dataclass(frozen=True)
-class WireFrame:
+class WireFrame(NamedTuple):
     """One protocol message: an operation tag plus ordered byte fields."""
 
     op: str
     fields: tuple[bytes, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", tuple(bytes(f) for f in self.fields))
 
 
 def frame_serialize(frame: WireFrame, *, max_frame: int = MAX_FRAME) -> bytes:

@@ -72,6 +72,14 @@ def test_bad_hex_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("mode", ["listen", "connect"])
+def test_out_of_range_port_is_usage_error(mode, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--endpoint", "127.0.0.1:70000", "--mode", mode, "--timeout", "1", "ping"])
+    assert excinfo.value.code == 2
+    assert "port out of range" in capsys.readouterr().err
+
+
 def test_connect_failure_exit_code(capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

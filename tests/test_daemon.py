@@ -8,6 +8,7 @@ import time
 import pytest
 
 from kevlar import crypto
+from kevlar import daemon as daemon_module
 from kevlar.cache import Cache, CacheConfig
 from kevlar.client import exchange
 from kevlar.daemon import (
@@ -20,7 +21,7 @@ from kevlar.daemon import (
     run_daemon,
 )
 from kevlar.errors import PeerClosedError
-from kevlar.transport import ConnectionMode, Endpoint, Listener, connect
+from kevlar.transport import Connection, ConnectionMode, Endpoint, Listener, connect
 from kevlar.wire import (
     MAX_FRAME,
     OP_ERR,
@@ -67,19 +68,28 @@ def test_dispatch_query_missing(cache):
     assert _err_code(dispatch(WireFrame("QUERY", (b"nope",)), cache)) == "NOT_FOUND"
 
 
+def _err_detail(frame):
+    return frame.fields[1].decode()
+
+
 def test_dispatch_arity_errors(cache):
-    for frame in (
-        WireFrame("PING", (b"x",)),
-        WireFrame("QUIT", (b"x",)),
-        WireFrame("SAVE", (b"id",)),
-        WireFrame("QUERY"),
-        WireFrame("REENC", (b"a", b"b")),
+    for frame, detail in (
+        (WireFrame("PING", (b"x",)), "PING expects 0 field(s), got 1"),
+        (WireFrame("QUIT", (b"x",)), "QUIT expects 0 field(s), got 1"),
+        (WireFrame("SAVE", (b"id",)), "SAVE expects 2 field(s), got 1"),
+        (WireFrame("QUERY"), "QUERY expects 1 field(s), got 0"),
+        (WireFrame("REENC", (b"a", b"b")), "REENC expects 3 field(s), got 2"),
     ):
-        assert _err_code(dispatch(frame, cache)) == "BAD_REQUEST"
+        response = dispatch(frame, cache)
+        assert _err_code(response) == "BAD_REQUEST"
+        assert _err_detail(response) == detail
 
 
 def test_dispatch_unknown_op(cache):
-    assert _err_code(dispatch(WireFrame("FROB"), cache)) == "BAD_REQUEST"
+    for op in ("FROB", OP_OK, OP_ERR):
+        response = dispatch(WireFrame(op, (b"x",)), cache)
+        assert _err_code(response) == "BAD_REQUEST"
+        assert _err_detail(response) == f"unknown op {op}"
 
 
 def test_dispatch_too_large(cache):
@@ -155,6 +165,33 @@ def test_save_query_reenc_end_to_end(live_daemon):
         response = exchange(conn, WireFrame("REENC", (b"key-1", b"key-2", envelope.to_bytes())))
         assert response.op == OP_OK
         assert crypto.decrypt(k2, crypto.CipherEnvelope.from_bytes(response.fields[0])) == message
+
+
+def test_trace_hooks_see_one_call_per_request(live_daemon, monkeypatch):
+    # perfbench's --trace 1 wraps exactly these attributes before the
+    # daemon runs; each must be looked up at call time to be seen.
+    k1, k2 = crypto.generate_key(), crypto.generate_key()
+    envelope = crypto.encrypt(k1, b"traced")
+    with socket.create_connection(live_daemon.address, timeout=5) as sock:
+        replies = sock.makefile("rb")
+        for key_id, key in ((b"k1", k1), (b"k2", k2)):
+            sock.sendall(frame_serialize(WireFrame("SAVE", (key_id, key))))
+            assert replies.readline() == b"OK\n"
+
+        calls = {}
+        hooks = [(daemon_module, name) for name in ("frame_parse", "dispatch", "frame_serialize")]
+        hooks += [(crypto, "reencrypt"), (Connection, "receive_frame"), (Connection, "send")]
+        for owner, name in hooks:
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        sock.sendall(frame_serialize(WireFrame("REENC", (b"k1", b"k2", envelope.to_bytes()))))
+        response = frame_parse(replies.readline())
+    assert response.op == OP_OK
+    assert crypto.decrypt(k2, crypto.CipherEnvelope.from_bytes(response.fields[0])) == b"traced"
+    assert calls == {name: 1 for _, name in hooks}
 
 
 def test_malformed_line_keeps_connection_open(live_daemon):

@@ -223,7 +223,7 @@ def test_parse_hostport(text, expected):
     assert parse_hostport(text) == expected
 
 
-@pytest.mark.parametrize("text", ["noport", ":80", "h:", "h:x"])
+@pytest.mark.parametrize("text", ["noport", ":80", "h:", "h:x", "h:70000", "h:-1"])
 def test_parse_hostport_rejects(text):
     with pytest.raises(ValueError):
         parse_hostport(text)

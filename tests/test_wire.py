@@ -143,6 +143,18 @@ def test_frame_parse_vectors():
     assert frame_parse(b"OK|Zg==|Zm8=\n") == WireFrame("OK", (b"f", b"fo"))
 
 
+def test_frame_is_an_immutable_tuple_of_bytes():
+    built = WireFrame("SAVE", (b"id", b"value"))
+    parsed = frame_parse(frame_serialize(built))
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert type(parsed.fields) is tuple
+    assert all(type(f) is bytes for f in parsed.fields)
+    for name in ("op", "fields"):
+        with pytest.raises(AttributeError):
+            setattr(parsed, name, None)
+
+
 def test_frame_empty_field_is_distinct():
     assert frame_parse(b"PING|\n") == WireFrame("PING", (b"",))
     assert frame_serialize(WireFrame("PING", (b"",))) == b"PING|\n"
