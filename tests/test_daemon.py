@@ -172,8 +172,8 @@ def test_trace_hooks_see_one_call_per_request(live_daemon, monkeypatch):
     # daemon runs; each must be looked up at call time to be seen.
     k1, k2 = crypto.generate_key(), crypto.generate_key()
     envelope = crypto.encrypt(k1, b"traced")
-    with socket.create_connection(live_daemon.address, timeout=5) as sock:
-        replies = sock.makefile("rb")
+    with socket.create_connection(live_daemon.address, timeout=5) as sock, \
+            sock.makefile("rb") as replies:
         for key_id, key in ((b"k1", k1), (b"k2", k2)):
             sock.sendall(frame_serialize(WireFrame("SAVE", (key_id, key))))
             assert replies.readline() == b"OK\n"
