@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .. import crypto
-from ..cache import Cache, CacheConfig, Policy
+from ..cache import Cache, CacheConfig
 from ..client import exchange
 from ..daemon import DaemonConfig, daemon_in_thread
 from ..store import OBJECT_SUFFIX, open_store
@@ -110,8 +110,8 @@ def bench_crypto(sizes=DEFAULT_CRYPTO_SIZES, reps: int = DEFAULT_REPS,
     return records
 
 
-def bench_tcp(sizes=DEFAULT_TCP_SIZES, reps: int = DEFAULT_REPS, seed: int = 0,
-              host: str = "127.0.0.1") -> list[BenchRecord]:
+def bench_tcp(sizes=DEFAULT_TCP_SIZES, reps: int = DEFAULT_REPS,
+              seed: int = 0) -> list[BenchRecord]:
     """Incoming throughput of the byte channel, measured at the receiver.
 
     A sender peer dials one loopback connection to a sink.  For each
@@ -124,12 +124,12 @@ def bench_tcp(sizes=DEFAULT_TCP_SIZES, reps: int = DEFAULT_REPS, seed: int = 0,
     rng = random.Random(seed)
     payloads = [rng.randbytes(size) for size in sizes]
     by_size: list[list[BenchRecord]] = [[] for _ in sizes]
-    with Listener(host, 0) as listener:
+    with Listener("127.0.0.1", 0) as listener:
         failure: list[BaseException] = []
 
         def send_all() -> None:
             try:
-                with connect(host, listener.port, timeout=5.0) as conn:
+                with connect(listener.host, listener.port, timeout=5.0) as conn:
                     for _ in range(reps):
                         for payload in payloads:
                             conn.receive_exact(1)
@@ -186,13 +186,12 @@ def bench_store_insert(store_dir: str | Path, keyfile: str | Path,
 def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
                       n_keys: int = DEFAULT_STORE_KEYS, capacity: int = 50,
                       n_queries: int = 10000, seed: int = 0,
-                      id_size: int = DEFAULT_STORE_ID_SIZE,
-                      policy: Policy = Policy.LRU) -> list[BenchRecord]:
-    """Uniform random queries against a pre-filled store, tagged hit|miss.
+                      id_size: int = DEFAULT_STORE_ID_SIZE) -> list[BenchRecord]:
+    """Uniform random queries through an LRU cache over a pre-filled store.
 
-    capacity < n_keys forces a mix; with uniform access the steady-state
-    hit fraction is capacity / n_keys regardless of policy.  The
-    "resident" column holds the residency seen at query time, so
+    Each query is tagged hit or miss.  capacity < n_keys forces a mix;
+    with uniform access the steady-state hit fraction is capacity / n_keys.
+    The "resident" column holds the residency seen at query time, so
     steady-state rows are exactly those issued against a full cache.
     """
     ids = [make_key_id(i, id_size) for i in range(1, n_keys + 1)]
@@ -207,8 +206,7 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
                 f"store at {store_dir} is not pre-filled with {n_keys} keys "
                 f"(run store-insert first): {exc}"
             ) from exc
-        config = CacheConfig(capacity=capacity, id_size=id_size, value_size=65536,
-                             policy=policy)
+        config = CacheConfig(capacity=capacity, id_size=id_size, value_size=65536)
         cache = Cache(config, store)
         rng = random.Random(seed)
         for q in range(n_queries):

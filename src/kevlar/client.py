@@ -14,7 +14,6 @@ import sys
 from .errors import TransportError, WireError
 from .transport import Connection, ConnectionMode, Endpoint, net_connect, parse_hostport
 from .wire import (
-    MAX_FRAME,
     OP_ERR,
     OP_OK,
     OP_PING,
@@ -34,10 +33,10 @@ EXIT_NOT_FOUND = 4
 EXIT_ERROR = 5
 
 
-def exchange(conn: Connection, frame: WireFrame, *, max_frame: int = MAX_FRAME) -> WireFrame:
+def exchange(conn: Connection, frame: WireFrame) -> WireFrame:
     """Send one request frame and return the parsed response frame."""
-    conn.send(frame_serialize(frame, max_frame=max_frame))
-    return frame_parse(conn.receive_frame(), max_frame=max_frame)
+    conn.send(frame_serialize(frame))
+    return frame_parse(conn.receive_frame())
 
 
 def _hex_bytes(text: str) -> bytes:

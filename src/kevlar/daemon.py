@@ -77,6 +77,10 @@ logger = logging.getLogger(__name__)
 #: peer takes enough of them.
 OUTPUT_LIMIT_FRAMES = 4
 
+#: Reverse mode: how long one dial may take, and the pause before the next.
+_CONNECT_TIMEOUT = 1.0
+_RETRY_INTERVAL = 0.05
+
 
 class ErrorCode(enum.Enum):
     """Wire-level failure classes; every failed request maps to one."""
@@ -95,8 +99,6 @@ class DaemonConfig:
     keyfile: Path
     cache: CacheConfig
     max_frame: int = MAX_FRAME
-    connect_timeout: float = 1.0
-    retry_interval: float = 0.05
 
 
 def _ok(*fields: bytes) -> WireFrame:
@@ -153,7 +155,7 @@ def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
 class Daemon:
     """One store, one cache, and one thread that serves every connection.
 
-    Usage: construct, start() (binds the listener in LISTEN mode), then
+    Usage: construct (which binds the listener in LISTEN mode), then
     serve_forever() on the thread that is to own the cache and the
     sockets.  shutdown() only asks that loop to stop, so it is safe
     from any thread or a signal handler.
@@ -161,13 +163,22 @@ class Daemon:
 
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
-        self._store = open_store(config.store_dir, config.keyfile)
-        self._cache = Cache(config.cache, self._store)
         self._stop = threading.Event()
         self._conns: set[Connection] = set()
-        self._listener: Listener | None = None
-        self._selector = selectors.DefaultSelector()
         self._output_limit = OUTPUT_LIMIT_FRAMES * config.max_frame
+        self._listener: Listener | None = None
+        # A failure part-way closes what was already opened, then re-raises.
+        with contextlib.ExitStack() as opened:
+            self._store = open_store(config.store_dir, config.keyfile)
+            opened.callback(self._store.close)
+            self._cache = Cache(config.cache, self._store)
+            self._selector = selectors.DefaultSelector()
+            opened.callback(self._selector.close)
+            endpoint = config.endpoint
+            if endpoint.mode is ConnectionMode.LISTEN:
+                self._listener = opened.enter_context(Listener(endpoint.host, endpoint.port))
+                self._selector.register(self._listener, selectors.EVENT_READ)
+            opened.pop_all()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -175,16 +186,6 @@ class Daemon:
         if self._listener is not None:
             return (self._listener.host, self._listener.port)
         return (self.config.endpoint.host, self.config.endpoint.port)
-
-    @property
-    def cache(self) -> Cache:
-        return self._cache
-
-    def start(self) -> None:
-        endpoint = self.config.endpoint
-        if endpoint.mode is ConnectionMode.LISTEN:
-            self._listener = Listener(endpoint.host, endpoint.port)
-            self._selector.register(self._listener, selectors.EVENT_READ)
 
     def serve_forever(self) -> None:
         """Serve every connection until QUIT or shutdown(), then close them."""
@@ -228,11 +229,11 @@ class Daemon:
             conn = connect(
                 endpoint.host,
                 endpoint.port,
-                timeout=self.config.connect_timeout,
+                timeout=_CONNECT_TIMEOUT,
                 max_frame=self.config.max_frame,
             )
         except TransportError:
-            self._stop.wait(self.config.retry_interval)
+            self._stop.wait(_RETRY_INTERVAL)
             return
         self._add(conn)
 
@@ -311,7 +312,6 @@ class Daemon:
 def daemon_in_thread(config: DaemonConfig):
     """Run a daemon on a background thread (tests and benches)."""
     daemon = Daemon(config)
-    daemon.start()
     thread = threading.Thread(target=daemon.serve_forever, name="kevlar-serve", daemon=True)
     thread.start()
     try:
@@ -320,30 +320,6 @@ def daemon_in_thread(config: DaemonConfig):
         daemon.shutdown()
         thread.join(timeout=5)
         daemon.close()
-
-
-def run_daemon(config: DaemonConfig, *, handle_signals: bool = False, announce=None) -> int:
-    """Open the store, build the cache, and serve until QUIT or signal.
-
-    Returns 0 after a graceful stop; startup failures log a diagnostic
-    and return 1.  Per-request failures never end the loop.
-    """
-    try:
-        daemon = Daemon(config)
-        daemon.start()
-    except (KevlarError, OSError) as exc:
-        print(f"kevlar-daemon: startup failed: {exc}", file=sys.stderr)
-        return 1
-    if handle_signals:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(sig, lambda *_: daemon.shutdown())
-    if announce is not None:
-        announce(daemon)
-    try:
-        daemon.serve_forever()
-    finally:
-        daemon.close()
-    return 0
 
 
 def _env(name: str, fallback: str) -> str:
@@ -372,6 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Serve until QUIT or SIGINT/SIGTERM and return 0.
+
+    A startup failure prints a diagnostic and returns 1.  Per-request
+    failures never end the loop.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -396,12 +377,21 @@ def main(argv=None) -> int:
     except (KevlarError, ValueError) as exc:
         parser.error(str(exc))
 
-    def announce(daemon: Daemon) -> None:
-        host, port = daemon.address
-        verb = "listening on" if mode is ConnectionMode.LISTEN else "reverse-connecting to"
-        print(f"kevlar-daemon: {verb} {host}:{port}", flush=True)
-
-    return run_daemon(config, handle_signals=True, announce=announce)
+    try:
+        daemon = Daemon(config)
+    except (KevlarError, OSError) as exc:
+        print(f"kevlar-daemon: startup failed: {exc}", file=sys.stderr)
+        return 1
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: daemon.shutdown())
+    host, port = daemon.address
+    verb = "listening on" if mode is ConnectionMode.LISTEN else "reverse-connecting to"
+    print(f"kevlar-daemon: {verb} {host}:{port}", flush=True)
+    try:
+        daemon.serve_forever()
+    finally:
+        daemon.close()
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ from .errors import (
 from .wire import MAX_FRAME
 
 _RECV_CHUNK = 65536
+#: Connections the kernel queues for a Listener before accept() takes them.
+_BACKLOG = 16
 
 
 class ConnectionMode(enum.Enum):
@@ -214,12 +216,12 @@ class Connection:
 class Listener:
     """Bound server socket handing out Connections one accept at a time."""
 
-    def __init__(self, host: str, port: int, *, backlog: int = 16) -> None:
+    def __init__(self, host: str, port: int) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             sock.bind((host, port))
-            sock.listen(backlog)
+            sock.listen(_BACKLOG)
         except OSError as exc:
             sock.close()
             raise BindFailureError(f"cannot bind {host}:{port}: {exc}") from exc
@@ -268,18 +270,13 @@ def connect(
     return Connection(sock, max_frame=max_frame)
 
 
-def net_connect(
-    endpoint: Endpoint,
-    *,
-    timeout: float | None = None,
-    max_frame: int = MAX_FRAME,
-) -> Connection:
+def net_connect(endpoint: Endpoint, *, timeout: float | None = None) -> Connection:
     """Establish one connection per the endpoint's mode.
 
     REVERSE_CONNECT dials out; LISTEN binds, accepts exactly one peer
     and returns that connection.
     """
     if endpoint.mode is ConnectionMode.REVERSE_CONNECT:
-        return connect(endpoint.host, endpoint.port, timeout=timeout, max_frame=max_frame)
+        return connect(endpoint.host, endpoint.port, timeout=timeout)
     with Listener(endpoint.host, endpoint.port) as listener:
-        return listener.accept(timeout, max_frame=max_frame)
+        return listener.accept(timeout)

@@ -1,9 +1,13 @@
 import contextlib
 import logging
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +18,12 @@ from kevlar.client import exchange
 from kevlar.daemon import (
     OUTPUT_LIMIT_FRAMES,
     Daemon,
-    DaemonConfig,
     ErrorCode,
     daemon_in_thread,
     dispatch,
-    run_daemon,
 )
 from kevlar.errors import PeerClosedError
-from kevlar.transport import Connection, ConnectionMode, Endpoint, Listener, connect
+from kevlar.transport import Connection, ConnectionMode, Listener, connect
 from kevlar.wire import (
     MAX_FRAME,
     OP_ERR,
@@ -126,6 +128,19 @@ def test_dispatch_reenc_malformed_envelope(cache):
     dispatch(WireFrame("SAVE", (b"k2", k)), cache)
     response = dispatch(WireFrame("REENC", (b"k1", b"k2", b"short")), cache)
     assert _err_code(response) == "CRYPTO_FAIL"
+
+
+@pytest.mark.parametrize("envelope, detail", [
+    (b"short", "envelope too short: 5 bytes"),
+    (bytes(40), "body length 24 is not a positive multiple of 16"),
+])
+def test_dispatch_reenc_malformed_envelope_detail(cache, envelope, detail):
+    # The detail is part of the reply bytes, so a reworded error changes the wire.
+    k = crypto.generate_key()
+    dispatch(WireFrame("SAVE", (b"k1", k)), cache)
+    dispatch(WireFrame("SAVE", (b"k2", k)), cache)
+    response = dispatch(WireFrame("REENC", (b"k1", b"k2", envelope)), cache)
+    assert response == WireFrame(OP_ERR, (b"CRYPTO_FAIL", detail.encode()))
 
 
 def test_dispatch_reenc_missing_key_id(cache):
@@ -236,7 +251,6 @@ def test_responses_stay_in_request_order(live_daemon):
 
 def test_quit_stops_daemon(daemon_config):
     daemon = Daemon(daemon_config())
-    daemon.start()
     server = threading.Thread(target=daemon.serve_forever, daemon=True)
     server.start()
     with _dial(daemon) as conn:
@@ -278,14 +292,37 @@ def test_reverse_connect_and_redial(daemon_config):
 def test_startup_failure_exits_nonzero(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("file in the way")
-    config = DaemonConfig(
-        endpoint=Endpoint("127.0.0.1", 0, ConnectionMode.LISTEN),
-        store_dir=blocker / "store",
-        keyfile=tmp_path / "k",
-        cache=CacheConfig(capacity=4),
-    )
-    assert run_daemon(config) == 1
+    status = daemon_module.main([
+        "--mode", "listen", "--endpoint", "127.0.0.1:0", "--capacity", "4",
+        "--store-dir", str(blocker / "store"), "--keyfile", str(tmp_path / "k"),
+    ])
+    assert status == 1
     assert "startup failed" in capsys.readouterr().err
+
+
+def test_bind_failure_exits_nonzero(tmp_path, capsys):
+    with Listener("127.0.0.1", 0) as taken:
+        status = daemon_module.main([
+            "--mode", "listen", "--endpoint", f"127.0.0.1:{taken.port}",
+            "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "k"),
+        ])
+    assert status == 1
+    assert "startup failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, prog", [
+    ("kevlar.daemon", "kevlar-daemon"),
+    ("kevlar.client", "kevlar-client"),
+])
+def test_python_m_runs_without_runtime_warning(module, prog):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(f"usage: {prog}")
 
 
 def test_reenc_keys_never_leave_daemon(daemon_config, caplog):
