@@ -1,51 +1,8 @@
 """Benchmark harness: evaluation workloads emitting CSV."""
 
-from .ecg import (
-    BATCH_INTERVAL_MS,
-    POINT_INTERVAL_MS,
-    POINTS_PER_BATCH,
-    EcgPoint,
-    batch_count,
-    encode_batch,
-    generate_stream,
-    waveform_mv,
-)
-from .records import BASE_COLUMNS, BenchRecord, percentile_summary, read_csv, write_csv
-from .runners import (
-    BenchError,
-    EXTRA_COLUMNS,
-    bench_base64,
-    bench_cache_query,
-    bench_crypto,
-    bench_ecg_stream,
-    bench_store_insert,
-    bench_tcp,
-    make_key_id,
-    steady_state_hit_fraction,
-)
+# Only the names perfbench/inputs.py imports from the package; everything
+# else is imported from its submodule.
+from .ecg import encode_batch, generate_stream
+from .runners import make_key_id
 
-__all__ = [
-    "BASE_COLUMNS",
-    "BATCH_INTERVAL_MS",
-    "BenchError",
-    "BenchRecord",
-    "EXTRA_COLUMNS",
-    "EcgPoint",
-    "POINTS_PER_BATCH",
-    "POINT_INTERVAL_MS",
-    "batch_count",
-    "bench_base64",
-    "bench_cache_query",
-    "bench_crypto",
-    "bench_ecg_stream",
-    "bench_store_insert",
-    "bench_tcp",
-    "encode_batch",
-    "generate_stream",
-    "make_key_id",
-    "percentile_summary",
-    "read_csv",
-    "steady_state_hit_fraction",
-    "waveform_mv",
-    "write_csv",
-]
+__all__ = ["encode_batch", "generate_stream", "make_key_id"]

@@ -7,8 +7,9 @@ as a (probabilistic) padding failure.  The sealed store is the
 authenticated tier.
 
 reencrypt() changes the key of a cipher without the plaintext ever
-leaving this module: it exists only as a local variable between the
-inner decrypt and the outer encrypt.
+leaving this module: it exists only as a value passed from _open, the
+one place that checks the padding, to _seal, the one place that
+encrypts.
 
 Each thread keeps, per key, one CBC encryptor and one decryptor that
 are never finalized and only ever fed whole blocks, so no call pays
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -79,22 +80,31 @@ def _contexts(key: bytes):
     return pair
 
 
-@dataclass(frozen=True)
-class CipherEnvelope:
-    """IV plus CBC body; body length is a positive multiple of 16."""
-
+class _Envelope(NamedTuple):
     iv: bytes
     body: bytes
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "iv", bytes(self.iv))
-        object.__setattr__(self, "body", bytes(self.body))
-        if len(self.iv) != IV_SIZE:
-            raise MalformedEnvelopeError(f"iv must be {IV_SIZE} bytes, got {len(self.iv)}")
-        if len(self.body) < BLOCK_SIZE or len(self.body) % BLOCK_SIZE:
+
+class CipherEnvelope(_Envelope):
+    """IV plus CBC body; body length is a positive multiple of 16."""
+
+    __slots__ = ()
+
+    def __new__(cls, iv: bytes, body: bytes) -> CipherEnvelope:
+        iv, body = bytes(iv), bytes(body)
+        if len(iv) != IV_SIZE:
+            raise MalformedEnvelopeError(f"iv must be {IV_SIZE} bytes, got {len(iv)}")
+        if len(body) < BLOCK_SIZE or len(body) % BLOCK_SIZE:
             raise MalformedEnvelopeError(
-                f"body length {len(self.body)} is not a positive multiple of {BLOCK_SIZE}"
+                f"body length {len(body)} is not a positive multiple of {BLOCK_SIZE}"
             )
+        return super().__new__(cls, iv, body)
+
+    @classmethod
+    def _make(cls, iterable) -> CipherEnvelope:
+        # _replace builds through _make: an unchecked body would leave a
+        # partial block buffered in this thread's decryptor for the key.
+        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
         """Wire form: iv || body (framing belongs to the wire layer)."""
@@ -108,6 +118,21 @@ class CipherEnvelope:
         return cls(data[:IV_SIZE], data[IV_SIZE:])
 
 
+def _seal(key: bytes, padded: bytes) -> CipherEnvelope:
+    """Encrypt already padded plaintext under a fresh unpredictable IV."""
+    out = _contexts(key)[0].update(os.urandom(IV_SIZE) + padded)
+    return CipherEnvelope(out[:IV_SIZE], out[IV_SIZE:])
+
+
+def _open(key: bytes, envelope: CipherEnvelope) -> bytes:
+    """Decrypt to plaintext || pad, after checking the PKCS#7 pad."""
+    padded = _contexts(key)[1].update(envelope.iv + envelope.body)[IV_SIZE:]
+    n = padded[-1]
+    if not 1 <= n <= BLOCK_SIZE or not padded.endswith(_PADS[n]):
+        raise BadPaddingError("invalid padding after decryption")
+    return padded
+
+
 def encrypt(key: bytes, plaintext: bytes) -> CipherEnvelope:
     """Encrypt plaintext under a fresh unpredictable IV.
 
@@ -115,11 +140,8 @@ def encrypt(key: bytes, plaintext: bytes) -> CipherEnvelope:
     plaintext rounded down to a block boundary: len(body) =
     (len(plaintext)//16 + 1) * 16.
     """
-    encryptor = _contexts(key)[0]
     plaintext = bytes(plaintext)
-    pad = _PADS[BLOCK_SIZE - len(plaintext) % BLOCK_SIZE]
-    out = encryptor.update(os.urandom(IV_SIZE) + plaintext + pad)
-    return CipherEnvelope(out[:IV_SIZE], out[IV_SIZE:])
+    return _seal(key, plaintext + _PADS[BLOCK_SIZE - len(plaintext) % BLOCK_SIZE])
 
 
 def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
@@ -128,14 +150,12 @@ def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
     Padding validation is probabilistic tamper detection only: a wrong
     key slips through roughly once in 256 attempts and yields garbage.
     """
-    decryptor = _contexts(key)[1]
-    padded = decryptor.update(envelope.iv + envelope.body)[IV_SIZE:]
-    n = padded[-1]
-    if not 1 <= n <= BLOCK_SIZE or not padded.endswith(_PADS[n]):
-        raise BadPaddingError("invalid padding after decryption")
-    return padded[:-n]
+    padded = _open(key, envelope)
+    return padded[:-padded[-1]]
 
 
 def reencrypt(key_from: bytes, key_to: bytes, envelope: CipherEnvelope) -> CipherEnvelope:
     """Decrypt under key_from and encrypt under key_to with a fresh IV."""
-    return encrypt(key_to, decrypt(key_from, envelope))
+    # A checked PKCS#7 pad is exactly the pad encrypt() would add, so the
+    # padded plaintext is sealed as it is.
+    return _seal(key_to, _open(key_from, envelope))

@@ -13,7 +13,8 @@ daemon's buffers.
 In reverse-connect mode (the default) the daemon dials out to the
 untrusted peer's listening socket, retrying until it appears, and
 redials after the peer hangs up.  LISTEN mode binds a socket and serves
-any number of peers, one request at a time.
+any number of peers, one request at a time; a peer beyond the process's
+descriptor limit waits in the kernel backlog until another hangs up.
 
 Graceful shutdown has nothing to flush: the cache is write-through.
 """
@@ -23,12 +24,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
+import errno
 import logging
 import os
 import selectors
 import signal
 import sys
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +83,13 @@ OUTPUT_LIMIT_FRAMES = 4
 #: Reverse mode: how long one dial may take, and the pause before the next.
 _CONNECT_TIMEOUT = 1.0
 _RETRY_INTERVAL = 0.05
+
+#: accept() errors that leave the peer in the kernel backlog and the
+#: listener readable: out of descriptors or kernel memory.
+_ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
+#: After one, the listener is not watched for this long (seconds), or
+#: until a connection is dropped.
+_ACCEPT_PAUSE = 0.1
 
 
 class ErrorCode(enum.Enum):
@@ -167,6 +177,8 @@ class Daemon:
         self._conns: set[Connection] = set()
         self._output_limit = OUTPUT_LIMIT_FRAMES * config.max_frame
         self._listener: Listener | None = None
+        # When the paused listener is to be watched again (monotonic), or None.
+        self._accept_resume: float | None = None
         # A failure part-way closes what was already opened, then re-raises.
         with contextlib.ExitStack() as opened:
             self._store = open_store(config.store_dir, config.keyfile)
@@ -194,6 +206,8 @@ class Daemon:
                 if self._listener is None and not self._conns:
                     self._dial()
                     continue
+                if self._accept_resume is not None and time.monotonic() >= self._accept_resume:
+                    self._watch_listener()
                 for key, events in self._selector.select(timeout=0.1):
                     if key.data is None:
                         self._accept()
@@ -219,9 +233,19 @@ class Daemon:
     def _accept(self) -> None:
         try:
             conn = self._listener.accept(timeout=0, max_frame=self.config.max_frame)
-        except TransportError:
+        except TransportError as exc:
+            if getattr(exc.__cause__, "errno", None) in _ACCEPT_EXHAUSTED:
+                # The listener stays readable, so watching it would spin.
+                self._selector.unregister(self._listener)
+                self._accept_resume = time.monotonic() + _ACCEPT_PAUSE
             return
         self._add(conn)
+
+    def _watch_listener(self) -> None:
+        """Watch the listener again if an exhausted accept() paused it."""
+        if self._accept_resume is not None:
+            self._accept_resume = None
+            self._selector.register(self._listener, selectors.EVENT_READ)
 
     def _dial(self) -> None:
         endpoint = self.config.endpoint
@@ -247,6 +271,7 @@ class Daemon:
         self._selector.unregister(conn)
         self._conns.discard(conn)
         conn.close()
+        self._watch_listener()
 
     def _service(self, key: selectors.SelectorKey, events: int) -> None:
         """One readiness event: write, read once, handle the buffered lines."""

@@ -33,12 +33,6 @@ OP_QUIT = "QUIT"
 OP_OK = "OK"
 OP_ERR = "ERR"
 
-#: Operation tags the daemon understands.  frame_parse accepts any tag
-#: matching the grammar; rejecting unknown ones is the daemon's job.
-KNOWN_OPS = frozenset(
-    {OP_SAVE, OP_QUERY, OP_REENC, OP_PING, OP_QUIT, OP_OK, OP_ERR}
-)
-
 _OP_RE = re.compile(rb"\A[A-Z]{1,32}\Z")
 
 

@@ -15,7 +15,7 @@ import pytest
 import reference_aes as aes_oracle
 from equivalence import run_equivalence
 from kevlar import crypto
-from kevlar.bench import (
+from kevlar.bench.runners import (
     bench_cache_query,
     bench_ecg_stream,
     bench_store_insert,

@@ -3,25 +3,20 @@ import time
 
 import pytest
 
-from kevlar.bench import (
+from kevlar.bench.cli import main as bench_main
+from kevlar.bench.ecg import batch_count, encode_batch, generate_stream
+from kevlar.bench.records import BenchRecord, percentile_summary, read_csv, write_csv
+from kevlar.bench.runners import (
     BenchError,
-    BenchRecord,
-    batch_count,
     bench_base64,
     bench_cache_query,
     bench_crypto,
     bench_ecg_stream,
     bench_store_insert,
     bench_tcp,
-    encode_batch,
-    generate_stream,
     make_key_id,
-    percentile_summary,
-    read_csv,
     steady_state_hit_fraction,
-    write_csv,
 )
-from kevlar.bench.cli import main as bench_main
 
 
 def _workload_signature(records):

@@ -93,6 +93,15 @@ def test_envelope_wire_form_roundtrip():
     assert again.to_bytes() == envelope.iv + envelope.body
 
 
+def test_envelope_is_a_checked_tuple_of_bytes():
+    envelope = CipherEnvelope(bytearray(16), memoryview(bytes(32)))
+    assert type(envelope.iv) is bytes and type(envelope.body) is bytes
+    with pytest.raises(MalformedEnvelopeError):
+        envelope._replace(body=bytes(24))
+    iv, body = os.urandom(16), os.urandom(32)
+    assert CipherEnvelope(iv, body) == (iv, body)
+
+
 def test_key_must_be_32_bytes():
     with pytest.raises(ValueError):
         encrypt(b"short", b"data")

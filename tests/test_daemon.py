@@ -2,6 +2,7 @@ import contextlib
 import logging
 import os
 import random
+import resource
 import socket
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from kevlar import crypto
 from kevlar import daemon as daemon_module
@@ -119,7 +121,7 @@ def test_dispatch_reenc_value_not_a_key(cache):
     dispatch(WireFrame("SAVE", (b"k2", crypto.generate_key())), cache)
     envelope = crypto.encrypt(crypto.generate_key(), b"m")
     response = dispatch(WireFrame("REENC", (b"k1", b"k2", envelope.to_bytes())), cache)
-    assert _err_code(response) == "CRYPTO_FAIL"
+    assert response == WireFrame(OP_ERR, (b"CRYPTO_FAIL", b"stored value is not a 32-byte key"))
 
 
 def test_dispatch_reenc_malformed_envelope(cache):
@@ -141,6 +143,18 @@ def test_dispatch_reenc_malformed_envelope_detail(cache, envelope, detail):
     dispatch(WireFrame("SAVE", (b"k2", k)), cache)
     response = dispatch(WireFrame("REENC", (b"k1", b"k2", envelope)), cache)
     assert response == WireFrame(OP_ERR, (b"CRYPTO_FAIL", detail.encode()))
+
+
+def test_dispatch_reenc_bad_padding_detail(cache):
+    # CBC plaintext of 32 zero bytes: its last byte is no PKCS#7 pad.
+    k = crypto.generate_key()
+    dispatch(WireFrame("SAVE", (b"k1", k)), cache)
+    dispatch(WireFrame("SAVE", (b"k2", crypto.generate_key())), cache)
+    iv = os.urandom(16)
+    encryptor = Cipher(algorithms.AES(k), modes.CBC(iv)).encryptor()
+    body = encryptor.update(bytes(32)) + encryptor.finalize()
+    response = dispatch(WireFrame("REENC", (b"k1", b"k2", iv + body)), cache)
+    assert response == WireFrame(OP_ERR, (b"CRYPTO_FAIL", b"invalid padding after decryption"))
 
 
 def test_dispatch_reenc_missing_key_id(cache):
@@ -323,6 +337,60 @@ def test_python_m_runs_without_runtime_warning(module, prog):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(f"usage: {prog}")
+
+
+def _cpu_seconds(pid):
+    """utime + stime of a process, from fields 14 and 15 of /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat")
+def test_accept_at_fd_limit_does_not_spin(tmp_path):
+    def limit_fds():
+        resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kevlar.daemon", "--mode", "listen", "--endpoint", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "k")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, preexec_fn=limit_fds,
+    )
+    peers = []
+    try:
+        address = proc.stdout.readline().rsplit(" ", 1)[1]
+        host, port = address.strip().rsplit(":", 1)
+        # Connect and PING one peer at a time until one is not answered:
+        # the daemon is out of descriptors and that peer is in the backlog.
+        while True:
+            assert len(peers) < 64, "the daemon answered more peers than its fd limit allows"
+            peer = socket.create_connection((host, int(port)), timeout=5)
+            peers.append(peer)
+            peer.sendall(b"PING\n")
+            peer.settimeout(1.0)
+            try:
+                assert peer.recv(16) == b"OK\n"
+            except socket.timeout:
+                break
+        waiting = peers.pop()
+        before = _cpu_seconds(proc.pid)
+        waiting.settimeout(2.0)
+        with pytest.raises(socket.timeout):
+            waiting.recv(16)
+        assert _cpu_seconds(proc.pid) - before < 0.3
+        peers[0].sendall(b"PING\n")
+        assert peers[0].recv(16) == b"OK\n"
+        peers.pop().close()
+        assert waiting.recv(16) == b"OK\n"
+        peers.append(waiting)
+    finally:
+        for peer in peers:
+            peer.close()
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_reenc_keys_never_leave_daemon(daemon_config, caplog):

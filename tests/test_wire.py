@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from kevlar.errors import FrameTooLargeError, InvalidBase64Error, InvalidFrameError
 from kevlar.wire import (
-    KNOWN_OPS,
     MAX_FRAME,
     WireFrame,
     base64_decode,
@@ -17,6 +16,9 @@ from kevlar.wire import (
     frame_parse,
     frame_serialize,
 )
+
+#: The seven op tags the protocol defines, in sorted order.
+OPS = ("ERR", "OK", "PING", "QUERY", "QUIT", "REENC", "SAVE")
 
 # RFC 4648 section 10 test vectors.
 VECTORS = [
@@ -196,7 +198,7 @@ def test_frame_too_large():
 
 
 @given(
-    op=st.one_of(st.sampled_from(sorted(KNOWN_OPS)), st.text(alphabet="ABCXYZ", min_size=1, max_size=8)),
+    op=st.one_of(st.sampled_from(OPS), st.text(alphabet="ABCXYZ", min_size=1, max_size=8)),
     fields=st.lists(st.binary(max_size=200), max_size=5),
 )
 def test_frame_roundtrip(op, fields):
@@ -314,7 +316,7 @@ _FIELD_BYTES = st.one_of(
 
 
 @given(
-    op=st.one_of(st.sampled_from(sorted(KNOWN_OPS)), st.binary(max_size=6)),
+    op=st.one_of(st.sampled_from(OPS), st.binary(max_size=6)),
     fields=st.lists(_FIELD_BYTES, max_size=4),
     tail=st.sampled_from((b"\n", b"\r\n", b"", b"\n\n")),
 )
