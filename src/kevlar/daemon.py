@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
-import errno
 import logging
 import os
 import selectors
@@ -84,11 +83,9 @@ OUTPUT_LIMIT_FRAMES = 4
 _CONNECT_TIMEOUT = 1.0
 _RETRY_INTERVAL = 0.05
 
-#: accept() errors that leave the peer in the kernel backlog and the
-#: listener readable: out of descriptors or kernel memory.
-_ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
-#: After one, the listener is not watched for this long (seconds), or
-#: until a connection is dropped.
+#: After a failed accept() (out of descriptors leaves the peer in the
+#: kernel backlog and the listener readable), the listener is not watched
+#: for this long (seconds), or until a connection is dropped.
 _ACCEPT_PAUSE = 0.1
 
 
@@ -233,16 +230,15 @@ class Daemon:
     def _accept(self) -> None:
         try:
             conn = self._listener.accept(timeout=0, max_frame=self.config.max_frame)
-        except TransportError as exc:
-            if getattr(exc.__cause__, "errno", None) in _ACCEPT_EXHAUSTED:
-                # The listener stays readable, so watching it would spin.
-                self._selector.unregister(self._listener)
-                self._accept_resume = time.monotonic() + _ACCEPT_PAUSE
+        except TransportError:
+            # The listener may stay readable, so watching it would spin.
+            self._selector.unregister(self._listener)
+            self._accept_resume = time.monotonic() + _ACCEPT_PAUSE
             return
         self._add(conn)
 
     def _watch_listener(self) -> None:
-        """Watch the listener again if an exhausted accept() paused it."""
+        """Watch the listener again if a failed accept() paused it."""
         if self._accept_resume is not None:
             self._accept_resume = None
             self._selector.register(self._listener, selectors.EVENT_READ)

@@ -5,9 +5,9 @@
 
 Each side runs from its own `git archive` export of its commit under a
 temporary directory, so the working tree and `.git` are left alone.
-For every workload in BENCHMARK.json the tool runs --pairs pairs of
+For every workload in BENCHMARK.json the tool runs ten pairs of
 `perfbench/run.py --trace 0` on seed seed_base + 20 * k + i (k the
-workload's index, i = 1..pairs), back to back on the same seed; the
+workload's index, i = 1..10), back to back on the same seed; the
 parent goes first in the odd pairs and the change in the even ones.
 Then it runs one `--trace 1` pair on reenc-hot parent first and
 repeats it change first, because a single traced run cannot tell the
@@ -33,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: Untraced pairs per workload; even, so that each side goes first in half.
+PAIRS = 10
 #: Seeds of consecutive workloads start this far apart.
 SEED_STRIDE = 20
 #: The workload and seed of the traced pairs, as in every BENCH_<n>.json.
@@ -88,7 +90,8 @@ def _git(*args: str) -> bytes:
 def export(commit: str, dest: Path) -> Path:
     """Unpack the tree of commit into dest with `git archive`."""
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
-        tar.extractall(dest, filter="data")
+        # The "data" filter exists from Python 3.10.12 and 3.11.4 on.
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return dest
 
 
@@ -145,11 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair i of workload k runs on seed seed_base + 20*k + i")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--note", default="", help="free text stored as the note key")
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.pairs % 2:
-        parser.error("--pairs must be even and at least 2, so each side goes first equally")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         checkouts = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}
         for k, workload in enumerate(workloads):
             pairs = []
-            for i in range(1, args.pairs + 1):
+            for i in range(1, PAIRS + 1):
                 seed = args.seed_base + SEED_STRIDE * k + i
                 pair, report["host"] = untraced_pair(checkouts, workload, seed, seconds, i % 2 == 1)
                 pairs.append(pair)
