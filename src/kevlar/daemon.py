@@ -74,10 +74,13 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
-#: A connection whose unsent reply bytes exceed this many max_frame-sized
-#: frames is not read, nor are its buffered lines handled, until the
-#: peer takes enough of them.
+#: A connection whose unsent reply bytes exceed OUTPUT_LIMIT is not read,
+#: nor are its buffered lines handled, until the peer takes enough of them.
+#: It is read only with at most MAX_FRAME unparsed bytes buffered, so it
+#: holds at most MAX_FRAME plus one 64 KiB read of input and OUTPUT_LIMIT
+#: plus one reply of output.
 OUTPUT_LIMIT_FRAMES = 4
+OUTPUT_LIMIT = OUTPUT_LIMIT_FRAMES * MAX_FRAME
 
 #: Reverse mode: how long one dial may take, and the pause before the next.
 _CONNECT_TIMEOUT = 1.0
@@ -105,7 +108,6 @@ class DaemonConfig:
     store_dir: Path
     keyfile: Path
     cache: CacheConfig
-    max_frame: int = MAX_FRAME
 
 
 def _ok(*fields: bytes) -> WireFrame:
@@ -172,7 +174,6 @@ class Daemon:
         self.config = config
         self._stop = threading.Event()
         self._conns: set[Connection] = set()
-        self._output_limit = OUTPUT_LIMIT_FRAMES * config.max_frame
         self._listener: Listener | None = None
         # When the paused listener is to be watched again (monotonic), or None.
         self._accept_resume: float | None = None
@@ -229,7 +230,7 @@ class Daemon:
 
     def _accept(self) -> None:
         try:
-            conn = self._listener.accept(timeout=0, max_frame=self.config.max_frame)
+            conn = self._listener.accept(timeout=0)
         except TransportError:
             # The listener may stay readable, so watching it would spin.
             self._selector.unregister(self._listener)
@@ -246,12 +247,7 @@ class Daemon:
     def _dial(self) -> None:
         endpoint = self.config.endpoint
         try:
-            conn = connect(
-                endpoint.host,
-                endpoint.port,
-                timeout=_CONNECT_TIMEOUT,
-                max_frame=self.config.max_frame,
-            )
+            conn = connect(endpoint.host, endpoint.port, timeout=_CONNECT_TIMEOUT)
         except TransportError:
             self._stop.wait(_RETRY_INTERVAL)
             return
@@ -277,7 +273,7 @@ class Daemon:
                 conn.flush()
             if events & selectors.EVENT_READ:
                 conn.fill()
-            while conn.frame_ready and conn.pending <= self._output_limit:
+            while conn.frame_ready and conn.pending <= OUTPUT_LIMIT:
                 self._handle_frame(conn, conn.receive_frame())
                 if self._stop.is_set():
                     return
@@ -292,14 +288,14 @@ class Daemon:
             return
         # Past the bound only write readiness is watched: the peer is not read.
         wanted = selectors.EVENT_WRITE if conn.pending else 0
-        if conn.pending <= self._output_limit:
+        if conn.pending <= OUTPUT_LIMIT:
             wanted |= selectors.EVENT_READ
         if wanted != key.events:
             self._selector.modify(conn, wanted, conn)
 
     def _handle_frame(self, conn: Connection, raw: bytes) -> None:
         try:
-            frame = frame_parse(raw, max_frame=self.config.max_frame)
+            frame = frame_parse(raw)
         except InvalidFrameError as exc:
             logger.debug("rejecting malformed frame from %s: %s", conn.peer, exc)
             self._respond(conn, _err(ErrorCode.BAD_REQUEST, str(exc)))
@@ -323,7 +319,7 @@ class Daemon:
 
     def _respond(self, conn: Connection, response: WireFrame) -> None:
         try:
-            data = frame_serialize(response, max_frame=self.config.max_frame)
+            data = frame_serialize(response)
         except InvalidFrameError:
             data = frame_serialize(_err(ErrorCode.TOO_LARGE, "response exceeds frame limit"))
         conn.send(data)
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--id-size", type=int, default=_env("ID_SIZE", "128"))
     parser.add_argument("--value-size", type=int, default=_env("VALUE_SIZE", "65536"))
     parser.add_argument("--policy", choices=("lru", "fifo"), default=_env("POLICY", "lru"))
-    parser.add_argument("--max-frame", type=int, default=_env("MAX_FRAME", str(MAX_FRAME)))
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -393,7 +388,6 @@ def main(argv=None) -> int:
                 value_size=args.value_size,
                 policy=Policy(args.policy),
             ),
-            max_frame=args.max_frame,
         )
     except (KevlarError, ValueError) as exc:
         parser.error(str(exc))

@@ -74,7 +74,7 @@ class InvalidFrameError(WireError):
 
 
 class FrameTooLargeError(InvalidFrameError):
-    """A protocol line exceeds the configured frame limit."""
+    """A protocol line exceeds the frame limit, wire.MAX_FRAME."""
 
 
 # --- transport --------------------------------------------------------

@@ -69,6 +69,11 @@ def _load_or_create_key(keyfile: Path) -> bytes:
     return key
 
 
+def _reason(exc: OSError) -> str:
+    """The OS error text without the paths in str(exc): peers read it."""
+    return exc.strerror or type(exc).__name__
+
+
 def open_store(root_dir: str | Path, keyfile: str | Path) -> "SecureStore":
     """Open (creating if needed) a sealed store rooted at root_dir.
 
@@ -156,7 +161,7 @@ class SecureStore:
                     pass
                 raise
         except OSError as exc:
-            raise StoreIOError(f"cannot write object for id {id!r}: {exc}") from exc
+            raise StoreIOError(f"cannot write object for id {id!r}: {_reason(exc)}") from exc
 
     def read_ss(self, id: bytes) -> bytes:
         """Return the most recently written value for id, in cleartext."""
@@ -168,7 +173,7 @@ class SecureStore:
         except FileNotFoundError:
             raise NotFoundError(f"no object for id {id!r}") from None
         except OSError as exc:
-            raise StoreIOError(f"cannot read object for id {id!r}: {exc}") from exc
+            raise StoreIOError(f"cannot read object for id {id!r}: {_reason(exc)}") from exc
         if len(blob) < _HEADER_SIZE + TAG_SIZE or blob[: len(_HEADER)] != _HEADER:
             raise IntegrityError(f"object for id {id!r} is malformed")
         nonce = blob[len(_HEADER) : _HEADER_SIZE]

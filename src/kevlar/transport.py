@@ -1,12 +1,13 @@
 """TCP plumbing with newline-framed message extraction.
 
 The native connection model is reverse connect: the trusted daemon
-dials out to a socket the untrusted peer listens on.  LISTEN mode
-(bind, accept one peer) exists for tests and benches.
+dials out to a socket the untrusted peer listens on.  In LISTEN mode
+the daemon binds and serves any number of peers; accepting exactly one
+peer is only net_connect's LISTEN case.
 
 A Connection is single-owner.  Frame extraction is exactly the
 newline-split of the byte stream, regardless of TCP segmentation, and
-the receive buffer is bounded by max_frame.  The same Connection serves
+the receive buffer is bounded by wire.MAX_FRAME.  The same Connection serves
 blocking callers, where send() writes every byte before it returns, and
 an event loop on a non-blocking socket, which asks frame_ready before
 receive_frame() and calls fill() and flush() on readiness events.
@@ -67,11 +68,10 @@ def parse_hostport(text: str) -> tuple[str, int]:
 class Connection:
     """One open TCP connection with buffered frame extraction."""
 
-    def __init__(self, sock: socket.socket, *, max_frame: int = MAX_FRAME) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         self._sock = sock
-        self._max_frame = max_frame
         self._buf = bytearray()
         self._out = bytearray()
         self._open = True
@@ -97,10 +97,10 @@ class Connection:
     def frame_ready(self) -> bool:
         """True when receive_frame() returns or raises without reading.
 
-        That is when a whole line, or more than max_frame bytes without
+        That is when a whole line, or more than MAX_FRAME bytes without
         a terminator, is buffered.
         """
-        return b"\n" in self._buf or len(self._buf) > self._max_frame
+        return b"\n" in self._buf or len(self._buf) > MAX_FRAME
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -138,7 +138,7 @@ class Connection:
         """Block until one newline-terminated line is buffered; return it.
 
         The terminator is included; bytes after it stay buffered for the
-        next call.  More than max_frame bytes without a newline is a
+        next call.  More than MAX_FRAME bytes, terminated or not, is a
         protocol violation: the connection is closed.  On a non-blocking
         socket, call it only when frame_ready is true.
         """
@@ -149,13 +149,11 @@ class Connection:
             if idx != -1:
                 frame = bytes(self._buf[: idx + 1])
                 del self._buf[: idx + 1]
-                if len(frame) > self._max_frame:
+                if len(frame) > MAX_FRAME:
                     self.close()
-                    raise FrameTooLargeError(
-                        f"frame is {len(frame)} bytes, limit {self._max_frame}"
-                    )
+                    raise FrameTooLargeError(f"frame is {len(frame)} bytes, limit {MAX_FRAME}")
                 return frame
-            if len(self._buf) > self._max_frame:
+            if len(self._buf) > MAX_FRAME:
                 self.close()
                 raise FrameTooLargeError(
                     f"{len(self._buf)} buffered bytes without a terminator"
@@ -228,7 +226,7 @@ class Listener:
         self._sock = sock
         self.host, self.port = sock.getsockname()[:2]
 
-    def accept(self, timeout: float | None = None, *, max_frame: int = MAX_FRAME) -> Connection:
+    def accept(self, timeout: float | None = None) -> Connection:
         self._sock.settimeout(timeout)
         try:
             peer_sock, _ = self._sock.accept()
@@ -236,7 +234,7 @@ class Listener:
             raise ConnectTimeoutError("timed out waiting for a peer") from exc
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
-        return Connection(peer_sock, max_frame=max_frame)
+        return Connection(peer_sock)
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -251,13 +249,7 @@ class Listener:
         self.close()
 
 
-def connect(
-    host: str,
-    port: int,
-    *,
-    timeout: float | None = None,
-    max_frame: int = MAX_FRAME,
-) -> Connection:
+def connect(host: str, port: int, *, timeout: float | None = None) -> Connection:
     """Dial out to (host, port), blocking up to timeout."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -267,7 +259,7 @@ def connect(
         raise ConnectTimeoutError(f"connecting to {host}:{port} timed out") from exc
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    return Connection(sock, max_frame=max_frame)
+    return Connection(sock)
 
 
 def net_connect(endpoint: Endpoint, *, timeout: float | None = None) -> Connection:

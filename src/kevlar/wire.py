@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import FrameTooLargeError, InvalidBase64Error, InvalidFrameError
 
-#: Longest serialized protocol line accepted by default (1 MiB).
+#: Longest protocol line, terminator included (1 MiB); the only frame limit.
 MAX_FRAME = 1024 * 1024
 
 OP_SAVE = "SAVE"
@@ -77,7 +77,7 @@ class WireFrame(NamedTuple):
     fields: tuple[bytes, ...] = ()
 
 
-def frame_serialize(frame: WireFrame, *, max_frame: int = MAX_FRAME) -> bytes:
+def frame_serialize(frame: WireFrame) -> bytes:
     """Serialize a frame into one newline-terminated protocol line."""
     # A non-ASCII op becomes "?" here, which the op grammar never matches.
     op = frame.op.encode("ascii", "replace")
@@ -86,24 +86,24 @@ def frame_serialize(frame: WireFrame, *, max_frame: int = MAX_FRAME) -> bytes:
     parts = [op]
     parts.extend(binascii.b2a_base64(f, newline=False) for f in frame.fields)
     line = b"|".join(parts) + b"\n"
-    if len(line) > max_frame:
-        raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {max_frame}")
+    if len(line) > MAX_FRAME:
+        raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {MAX_FRAME}")
     return line
 
 
-def frame_parse(line: bytes, *, max_frame: int = MAX_FRAME) -> WireFrame:
+def frame_parse(line: bytes) -> WireFrame:
     """Parse one protocol line back into a WireFrame (inverse of serialize).
 
     A newline or non-ASCII byte before the terminator fails either the op
     grammar or the canonical check of the field that holds it.
     """
-    if len(line) > max_frame:
-        raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {max_frame}")
+    if len(line) > MAX_FRAME:
+        raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {MAX_FRAME}")
     if not line.endswith(b"\n"):
         raise InvalidFrameError("missing newline terminator")
     op, *fields = line[:-1].split(b"|")
     if not _OP_RE.match(op):
-        # Quote only a prefix: the op may run to the end of a max_frame line.
+        # Quote only a prefix: the op may run to the end of a MAX_FRAME line.
         raise InvalidFrameError(f"illegal op tag: {op[:40]!r}")
     try:
         decoded = tuple(_decode_canonical(f) for f in fields)

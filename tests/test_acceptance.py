@@ -28,6 +28,7 @@ from kevlar.errors import IntegrityError
 from kevlar.store import open_store
 from kevlar.transport import connect, parse_hostport
 from kevlar.wire import (
+    MAX_FRAME,
     OP_OK,
     WireFrame,
     base64_decode,
@@ -229,9 +230,8 @@ def test_criterion_08_ecg_macro_end_to_end():
 def test_criterion_09_protocol_robustness(daemon_config):
     from kevlar.daemon import daemon_in_thread
 
-    config = daemon_config(max_frame=4096)
-    with daemon_in_thread(config) as daemon:
-        corpus = _fuzz_corpus(random.Random(99), 10_000, oversize=5000)
+    with daemon_in_thread(daemon_config()) as daemon:
+        corpus = _fuzz_corpus(random.Random(99), 10_000, oversize=MAX_FRAME + 1)
         errs, closes = run_fuzz(daemon, corpus)
         # still alive and sane
         host, port = daemon.address

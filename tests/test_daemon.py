@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import logging
 import os
 import random
+import re
 import resource
 import socket
 import subprocess
@@ -25,6 +27,7 @@ from kevlar.daemon import (
     dispatch,
 )
 from kevlar.errors import PeerClosedError
+from kevlar.store import OBJECT_SUFFIX
 from kevlar.transport import Connection, ConnectionMode, Listener, connect
 from kevlar.wire import (
     MAX_FRAME,
@@ -244,6 +247,31 @@ def test_illegal_op_at_frame_limit_is_bad_request(live_daemon):
         for junk in (b"a", b"\xff"):
             conn.send(junk * (MAX_FRAME - 1) + b"\n")
             assert _err_code(frame_parse(conn.receive_frame())) == "BAD_REQUEST"
+
+
+def test_frame_limit_boundary_through_daemon(live_daemon):
+    # MAX_FRAME bytes, terminator included, are answered; one byte more
+    # drops only that peer, and another connected peer is still served.
+    with _dial(live_daemon, io_timeout=10) as other, _dial(live_daemon, io_timeout=10) as conn:
+        conn.send(b"a" * (MAX_FRAME - 1) + b"\n")
+        assert _err_code(frame_parse(conn.receive_frame())) == "BAD_REQUEST"
+        conn.send(b"a" * MAX_FRAME + b"\n")
+        with pytest.raises(PeerClosedError):
+            conn.receive_frame()
+        other.send(b"PING\n")
+        assert other.receive_frame() == b"OK\n"
+
+
+def test_store_fail_detail_names_no_server_path(tmp_path, store):
+    cache = Cache(CacheConfig(capacity=8, id_size=32, value_size=64), store)
+    store.object_path(b"a").mkdir()
+    for request in (WireFrame("QUERY", (b"a",)), WireFrame("SAVE", (b"a", b"v"))):
+        response = dispatch(request, cache)
+        assert _err_code(response) == "STORE_FAIL"
+        detail = response.fields[1].decode()
+        assert os.strerror(errno.EISDIR) in detail
+        for secret in (str(tmp_path), OBJECT_SUFFIX, ".write-"):
+            assert secret not in detail
 
 
 def test_responses_stay_in_request_order(live_daemon):
@@ -481,10 +509,24 @@ def test_cli_flags_fall_back_to_environment(monkeypatch):
     assert args.capacity == 9  # explicit flag wins over the environment
 
 
+def test_readme_lists_every_environment_fallback(monkeypatch):
+    # Each daemon flag but --help and --verbose falls back to KEVLAR_<FLAG>,
+    # and the README lists exactly those names.
+    from kevlar.daemon import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = set(re.findall(r"KEVLAR_[A-Z_]+", readme))
+    dests = {a.dest for a in build_parser()._actions} - {"help", "verbose"}
+    for dest in dests:
+        monkeypatch.setenv(f"KEVLAR_{dest.upper()}", "from-env")
+    parser = build_parser()
+    assert {d for d in dests if parser.get_default(d) == "from-env"} == dests
+    assert listed == {f"KEVLAR_{d.upper()}" for d in dests}
+
+
 def test_fuzzed_frames_never_kill_daemon(daemon_config):
-    config = daemon_config(max_frame=4096)
-    with daemon_in_thread(config) as daemon:
-        corpus = _fuzz_corpus(random.Random(5), 800, oversize=5000)
+    with daemon_in_thread(daemon_config()) as daemon:
+        corpus = _fuzz_corpus(random.Random(5), 800, oversize=MAX_FRAME + 1)
         errs, closes = run_fuzz(daemon, corpus)
         assert errs + closes == len(corpus)
         assert closes >= 1
@@ -523,7 +565,7 @@ def _stalled_peer(daemon):
 
 
 def test_stalled_peer_does_not_block_others(daemon_config):
-    with daemon_in_thread(daemon_config(max_frame=4096)) as daemon:
+    with daemon_in_thread(daemon_config()) as daemon:
         with _stalled_peer(daemon):
             time.sleep(0.5)  # let the unread replies fill the socket buffers
             with _dial(daemon, io_timeout=3.0) as conn:
@@ -534,16 +576,15 @@ def test_stalled_peer_does_not_block_others(daemon_config):
 
 
 def test_stalled_peer_output_stays_bounded(daemon_config):
-    max_frame = 4096
-    limit = OUTPUT_LIMIT_FRAMES * max_frame
-    with daemon_in_thread(daemon_config(max_frame=max_frame)) as daemon:
+    limit = OUTPUT_LIMIT_FRAMES * MAX_FRAME
+    with daemon_in_thread(daemon_config()) as daemon:
         with _stalled_peer(daemon):
             deadline = time.monotonic() + 5
             while not any(c.pending > limit for c in list(daemon._conns)):
                 assert time.monotonic() < deadline, "the peer's replies never backed up"
                 time.sleep(0.01)
             for _ in range(20):
-                assert max(c.pending for c in list(daemon._conns)) <= limit + max_frame
+                assert max(c.pending for c in list(daemon._conns)) <= limit + MAX_FRAME
                 time.sleep(0.01)
 
 

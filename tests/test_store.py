@@ -1,11 +1,12 @@
 import hashlib
 import os
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kevlar.errors import BadKeyfileError, IntegrityError, NotFoundError
+from kevlar.errors import BadKeyfileError, IntegrityError, NotFoundError, StoreIOError
 from kevlar.store import KEY_SIZE, MAGIC, OBJECT_SUFFIX, open_store
 
 
@@ -38,6 +39,17 @@ def test_roundtrip_and_reopen(tmp_path, store):
     reopened = open_store(tmp_path / "store", tmp_path / "sealing.key")
     assert reopened.read_ss(b"client000001") == value
     reopened.close()
+
+
+def test_io_error_detail_names_no_path(store, monkeypatch):
+    # An OSError without strerror is named by its type, never by str(exc).
+    def fail(self):
+        raise OSError(f"cannot open {self}")
+
+    monkeypatch.setattr(Path, "read_bytes", fail)
+    with pytest.raises(StoreIOError) as info:
+        store.read_ss(b"a")
+    assert str(info.value) == "cannot read object for id b'a': OSError"
 
 
 def test_empty_value(store):

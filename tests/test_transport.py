@@ -19,6 +19,7 @@ from kevlar.transport import (
     net_connect,
     parse_hostport,
 )
+from kevlar.wire import MAX_FRAME
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ def test_oversized_line_closes_connection():
         errors = []
 
         def serve():
-            server = listener.accept(timeout=5, max_frame=1024)
+            server = listener.accept(timeout=5)
             try:
                 server.receive_frame()
             except FrameTooLargeError as exc:
@@ -119,7 +120,7 @@ def test_oversized_line_closes_connection():
         thread.start()
         with connect("127.0.0.1", listener.port, timeout=5) as client:
             try:
-                client.send(b"x" * 2048)
+                client.send(b"x" * (MAX_FRAME + 1))
                 thread.join()
             except PeerClosedError:
                 thread.join()

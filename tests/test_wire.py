@@ -192,9 +192,12 @@ def test_frame_too_large():
     frame = WireFrame("SAVE", (b"x" * MAX_FRAME,))
     with pytest.raises(FrameTooLargeError):
         frame_serialize(frame)
-    small = frame_serialize(WireFrame("SAVE", (b"x" * 64,)), max_frame=1024)
+    # A 6-letter op, "|" and "\n" leave MAX_FRAME - 8 bytes of base64.
+    exact = frame_serialize(WireFrame("SAVEAB", (b"x" * (3 * (MAX_FRAME - 8) // 4),)))
+    assert len(exact) == MAX_FRAME
+    assert frame_parse(exact).op == "SAVEAB"
     with pytest.raises(FrameTooLargeError):
-        frame_parse(small, max_frame=16)
+        frame_parse(b"A" + exact)
 
 
 @given(
@@ -270,8 +273,8 @@ def reference_base64_decode(text):
     return base64.b64decode(text, validate=True)
 
 
-def reference_frame_parse(line, max_frame=MAX_FRAME):
-    if len(line) > max_frame:
+def reference_frame_parse(line):
+    if len(line) > MAX_FRAME:
         raise FrameTooLargeError("too large")
     if not line.endswith(b"\n") or b"\n" in line[:-1]:
         raise InvalidFrameError("bad terminator")
