@@ -7,10 +7,11 @@ peer is only net_connect's LISTEN case.
 
 A Connection is single-owner.  Frame extraction is exactly the
 newline-split of the byte stream, regardless of TCP segmentation, and
-the receive buffer is bounded by wire.MAX_FRAME.  The same Connection serves
-blocking callers, where send() writes every byte before it returns, and
-an event loop on a non-blocking socket, which asks frame_ready before
-receive_frame() and calls fill() and flush() on readiness events.
+the receive buffer is bounded by wire.MAX_FRAME plus one read.  The
+same Connection serves blocking callers, where send() writes every byte
+before it returns, and an event loop on a non-blocking socket, which
+asks frame_ready before receive_frame() and calls fill() and flush() on
+readiness events.
 """
 
 from __future__ import annotations
