@@ -21,13 +21,13 @@ from .wire import (
     OP_QUIT,
     OP_REENC,
     OP_SAVE,
+    ErrorCode,
     WireFrame,
     frame_parse,
     frame_serialize,
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONNECT = 3
 EXIT_NOT_FOUND = 4
 EXIT_ERROR = 5
@@ -67,7 +67,7 @@ def _request(
         code = response.fields[0].decode("ascii", "replace")
         detail = response.fields[1].decode("utf-8", "replace") if len(response.fields) > 1 else ""
         print(f"kevlar-client: ERR {code}: {detail}", file=sys.stderr)
-        return (EXIT_NOT_FOUND if code == "NOT_FOUND" else EXIT_ERROR), response
+        return (EXIT_NOT_FOUND if code == ErrorCode.NOT_FOUND.value else EXIT_ERROR), response
     print(f"kevlar-client: unexpected response {response.op}", file=sys.stderr)
     return EXIT_ERROR, response
 

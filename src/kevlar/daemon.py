@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import enum
 import logging
 import os
 import selectors
@@ -38,12 +37,11 @@ from pathlib import Path
 from . import crypto
 from .cache import Cache, CacheConfig, Policy
 from .errors import (
-    BadPaddingError,
+    CryptoError,
     FrameTooLargeError,
     IdTooLongError,
     InvalidFrameError,
     KevlarError,
-    MalformedEnvelopeError,
     NotFoundError,
     StoreError,
     TransportError,
@@ -67,6 +65,7 @@ from .wire import (
     OP_QUIT,
     OP_REENC,
     OP_SAVE,
+    ErrorCode,
     WireFrame,
     frame_parse,
     frame_serialize,
@@ -90,16 +89,6 @@ _RETRY_INTERVAL = 0.05
 #: kernel backlog and the listener readable), the listener is not watched
 #: for this long (seconds), or until a connection is dropped.
 _ACCEPT_PAUSE = 0.1
-
-
-class ErrorCode(enum.Enum):
-    """Wire-level failure classes; every failed request maps to one."""
-
-    NOT_FOUND = "NOT_FOUND"
-    BAD_REQUEST = "BAD_REQUEST"
-    CRYPTO_FAIL = "CRYPTO_FAIL"
-    STORE_FAIL = "STORE_FAIL"
-    TOO_LARGE = "TOO_LARGE"
 
 
 @dataclass(frozen=True)
@@ -153,7 +142,7 @@ def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
         return _err(ErrorCode.TOO_LARGE, str(exc))
     except NotFoundError as exc:
         return _err(ErrorCode.NOT_FOUND, str(exc))
-    except (BadPaddingError, MalformedEnvelopeError) as exc:
+    except CryptoError as exc:
         return _err(ErrorCode.CRYPTO_FAIL, str(exc))
     except StoreError as exc:
         return _err(ErrorCode.STORE_FAIL, str(exc))
@@ -177,18 +166,20 @@ class Daemon:
         self._listener: Listener | None = None
         # When the paused listener is to be watched again (monotonic), or None.
         self._accept_resume: float | None = None
-        # A failure part-way closes what was already opened, then re-raises.
+        # A failure part-way closes what was already opened, then re-raises;
+        # otherwise close() closes it all, in reverse order of opening.
         with contextlib.ExitStack() as opened:
             self._store = open_store(config.store_dir, config.keyfile)
             opened.callback(self._store.close)
             self._cache = Cache(config.cache, self._store)
+            opened.callback(self._cache.free)
             self._selector = selectors.DefaultSelector()
             opened.callback(self._selector.close)
             endpoint = config.endpoint
             if endpoint.mode is ConnectionMode.LISTEN:
                 self._listener = opened.enter_context(Listener(endpoint.host, endpoint.port))
                 self._selector.register(self._listener, selectors.EVENT_READ)
-            opened.pop_all()
+            self._resources = opened.pop_all()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -220,11 +211,7 @@ class Daemon:
         self._stop.set()
 
     def close(self) -> None:
-        if self._listener is not None:
-            self._listener.close()
-        self._selector.close()
-        self._cache.free()
-        self._store.close()
+        self._resources.close()
 
     # -- internals ---------------------------------------------------------
 
@@ -350,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--endpoint", default=_env("ENDPOINT", "127.0.0.1:7600"),
                         help="HOST:PORT to dial (reverse mode) or bind (listen mode)")
-    parser.add_argument("--mode", choices=("reverse", "listen"),
+    parser.add_argument("--mode", choices=[m.value for m in ConnectionMode],
                         default=_env("MODE", "reverse"),
                         help="reverse: dial out to the peer's socket (default); listen: bind and accept")
     parser.add_argument("--store-dir", default=_env("STORE_DIR", "./kevlar-store"))
@@ -358,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--capacity", type=int, default=_env("CAPACITY", "128"))
     parser.add_argument("--id-size", type=int, default=_env("ID_SIZE", "128"))
     parser.add_argument("--value-size", type=int, default=_env("VALUE_SIZE", "65536"))
-    parser.add_argument("--policy", choices=("lru", "fifo"), default=_env("POLICY", "lru"))
+    parser.add_argument("--policy", choices=[p.value for p in Policy],
+                        default=_env("POLICY", "lru"))
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -377,7 +365,7 @@ def main(argv=None) -> int:
     )
     try:
         host, port = parse_hostport(args.endpoint)
-        mode = ConnectionMode.LISTEN if args.mode == "listen" else ConnectionMode.REVERSE_CONNECT
+        mode = ConnectionMode(args.mode)
         config = DaemonConfig(
             endpoint=Endpoint(host, port, mode),
             store_dir=Path(args.store_dir),

@@ -83,16 +83,8 @@ class TransportError(KevlarError):
     """Base class for TCP transport failures."""
 
 
-class ConnectTimeoutError(TransportError):
-    """The outbound connection attempt timed out."""
-
-
 class ConnectRefusedError(TransportError):
     """The peer actively refused the connection."""
-
-
-class BindFailureError(TransportError):
-    """The listening socket could not be bound."""
 
 
 class PeerClosedError(TransportError):

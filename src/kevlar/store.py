@@ -108,18 +108,8 @@ class SecureStore:
     def root_dir(self) -> Path:
         return self._root
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def close(self) -> None:
         self._open = False
-
-    def __enter__(self) -> "SecureStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _check_open(self) -> None:
         if not self._open:

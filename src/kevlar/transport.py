@@ -11,7 +11,8 @@ the receive buffer is bounded by wire.MAX_FRAME plus one read.  The
 same Connection serves blocking callers, where send() writes every byte
 before it returns, and an event loop on a non-blocking socket, which
 asks frame_ready before receive_frame() and calls fill() and flush() on
-readiness events.
+readiness events.  The timeout a connection is opened with bounds every
+later wait on it.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ import enum
 import socket
 from dataclasses import dataclass
 
-from .errors import (
-    BindFailureError,
-    ConnectRefusedError,
-    ConnectTimeoutError,
-    FrameTooLargeError,
-    PeerClosedError,
-    TransportError,
-)
+from .errors import ConnectRefusedError, FrameTooLargeError, PeerClosedError, TransportError
 from .wire import MAX_FRAME
 
 _RECV_CHUNK = 65536
@@ -71,7 +65,6 @@ class Connection:
 
     def __init__(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
         self._sock = sock
         self._buf = bytearray()
         self._out = bytearray()
@@ -223,7 +216,7 @@ class Listener:
             sock.listen(_BACKLOG)
         except OSError as exc:
             sock.close()
-            raise BindFailureError(f"cannot bind {host}:{port}: {exc}") from exc
+            raise TransportError(f"cannot bind {host}:{port}: {exc}") from exc
         self._sock = sock
         self.host, self.port = sock.getsockname()[:2]
 
@@ -232,9 +225,10 @@ class Listener:
         try:
             peer_sock, _ = self._sock.accept()
         except socket.timeout as exc:
-            raise ConnectTimeoutError("timed out waiting for a peer") from exc
+            raise TransportError("timed out waiting for a peer") from exc
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
+        peer_sock.settimeout(timeout)
         return Connection(peer_sock)
 
     def fileno(self) -> int:
@@ -251,13 +245,13 @@ class Listener:
 
 
 def connect(host: str, port: int, *, timeout: float | None = None) -> Connection:
-    """Dial out to (host, port), blocking up to timeout."""
+    """Dial out to (host, port); timeout bounds the dial and each later wait."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except ConnectionRefusedError as exc:
         raise ConnectRefusedError(f"{host}:{port} refused the connection") from exc
     except (socket.timeout, TimeoutError) as exc:
-        raise ConnectTimeoutError(f"connecting to {host}:{port} timed out") from exc
+        raise TransportError(f"connecting to {host}:{port} timed out") from exc
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     return Connection(sock)

@@ -17,6 +17,7 @@ each other.
 from __future__ import annotations
 
 import binascii
+import enum
 import re
 from typing import NamedTuple
 
@@ -32,6 +33,17 @@ OP_PING = "PING"
 OP_QUIT = "QUIT"
 OP_OK = "OK"
 OP_ERR = "ERR"
+
+
+class ErrorCode(enum.Enum):
+    """The code field of an ERR reply; every failed request maps to one."""
+
+    NOT_FOUND = "NOT_FOUND"
+    BAD_REQUEST = "BAD_REQUEST"
+    CRYPTO_FAIL = "CRYPTO_FAIL"
+    STORE_FAIL = "STORE_FAIL"
+    TOO_LARGE = "TOO_LARGE"
+
 
 _OP_RE = re.compile(rb"\A[A-Z]{1,32}\Z")
 

@@ -1,6 +1,8 @@
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -87,6 +89,42 @@ def test_connect_failure_exit_code(capsys):
     status = main(["--endpoint", f"127.0.0.1:{port}", "--mode", "connect",
                    "--timeout", "1", "ping"])
     assert status == EXIT_CONNECT
+
+
+def test_timeout_bounds_the_exchange_in_connect_mode():
+    # The kernel completes the handshake from the backlog; no reply ever comes.
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kevlar.client", "--endpoint", f"127.0.0.1:{port}",
+             "--mode", "connect", "--timeout", "0.5", "ping"],
+            capture_output=True, text=True, timeout=10,
+        )
+    assert proc.returncode == EXIT_ERROR
+    assert "exchange failed" in proc.stderr and "timed out" in proc.stderr
+
+
+def test_timeout_bounds_the_exchange_in_listen_mode(capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    status = []
+    client = threading.Thread(target=lambda: status.append(
+        main(["--endpoint", f"127.0.0.1:{port}", "--timeout", "2", "ping"])), daemon=True)
+    client.start()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            peer = socket.create_connection(("127.0.0.1", port), timeout=1)
+            break
+        except ConnectionRefusedError:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    with peer:  # a peer that never replies
+        client.join(timeout=10)
+    assert status == [EXIT_ERROR]
+    err = capsys.readouterr().err
+    assert "exchange failed" in err and "timed out" in err
 
 
 def test_default_listen_mode_with_reverse_daemon(daemon_config, capsys):

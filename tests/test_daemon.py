@@ -27,7 +27,7 @@ from kevlar.daemon import (
     dispatch,
 )
 from kevlar.errors import PeerClosedError
-from kevlar.store import OBJECT_SUFFIX
+from kevlar.store import OBJECT_SUFFIX, open_store
 from kevlar.transport import Connection, ConnectionMode, Listener, connect
 from kevlar.wire import (
     MAX_FRAME,
@@ -272,6 +272,27 @@ def test_store_fail_detail_names_no_server_path(tmp_path, store):
         assert os.strerror(errno.EISDIR) in detail
         for secret in (str(tmp_path), OBJECT_SUFFIX, ".write-"):
             assert secret not in detail
+
+
+def test_store_integrity_failure_is_store_fail(store):
+    store.write_ss(b"k", b"v")
+    path = store.object_path(b"k")
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(blob)
+    cache = Cache(CacheConfig(capacity=8, id_size=32, value_size=64), store)
+    response = dispatch(WireFrame("QUERY", (b"k",)), cache)
+    assert response == WireFrame(
+        OP_ERR, (b"STORE_FAIL", b"object for id b'k' failed authentication"))
+
+
+def test_reply_over_frame_limit_is_too_large(tmp_path, daemon_config):
+    # 800,000 bytes are 1,066,668 in base64: the OK reply would exceed MAX_FRAME.
+    open_store(tmp_path / "store", tmp_path / "sealing.key").write_ss(b"big", b"v" * 800_000)
+    with daemon_in_thread(daemon_config()) as daemon, _dial(daemon, io_timeout=10) as conn:
+        response = exchange(conn, WireFrame("QUERY", (b"big",)))
+        assert response == WireFrame(OP_ERR, (b"TOO_LARGE", b"response exceeds frame limit"))
+        assert exchange(conn, WireFrame("PING")) == WireFrame(OP_OK)
 
 
 def test_responses_stay_in_request_order(live_daemon):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from kevlar.errors import FrameTooLargeError, InvalidBase64Error, InvalidFrameError
 from kevlar.wire import (
     MAX_FRAME,
+    ErrorCode,
     WireFrame,
     base64_decode,
     base64_decode_length,
@@ -327,3 +328,10 @@ def test_frame_parse_matches_reference_parser(op, fields, tail):
     op = op.encode() if isinstance(op, str) else op
     line = b"|".join([op, *fields]) + tail
     assert _outcome(frame_parse, line) == _outcome(reference_frame_parse, line)
+
+
+def test_readme_error_code_table_matches_error_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| ERR code | Answers |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([A-Z_]+)` \|", table, re.M)
+    assert sorted(listed) == sorted(c.value for c in ErrorCode)
