@@ -30,8 +30,6 @@ from .runners import (
     steady_state_hit_fraction,
 )
 
-BENCH_IDS = ("base64", "crypto", "tcp", "store-insert", "cache-query", "ecg-stream")
-
 
 def _sizes(text: str) -> tuple[int, ...]:
     try:
@@ -45,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kevlar-bench",
         description="Run one benchmark workload and write its CSV.",
     )
-    parser.add_argument("bench_id", choices=BENCH_IDS)
+    parser.add_argument("bench_id", choices=EXTRA_COLUMNS)
     parser.add_argument("--sizes", type=_sizes, default=None,
                         help="comma-separated payload sizes in bytes")
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
@@ -77,11 +75,7 @@ def main(argv=None) -> int:
     except (BenchError, ValueError) as exc:
         print(f"kevlar-bench: {exc}", file=sys.stderr)
         return 1
-    extra = EXTRA_COLUMNS[args.bench_id]
-    if args.out:
-        write_csv(records, extra, args.out)
-    else:
-        write_csv(records, extra, sys.stdout)
+    write_csv(records, EXTRA_COLUMNS[args.bench_id], args.out or sys.stdout)
     _summarize(args, records)
     return 0
 

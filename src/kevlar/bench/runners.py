@@ -11,7 +11,10 @@ import random
 import tempfile
 import threading
 import time
+from contextlib import closing
+from functools import partial
 from pathlib import Path
+from time import perf_counter_ns as _now
 
 from .. import crypto
 from ..cache import Cache, CacheConfig
@@ -59,55 +62,39 @@ def make_key_id(index: int, id_size: int = DEFAULT_STORE_ID_SIZE) -> bytes:
     return text.encode("ascii")
 
 
-def _now() -> int:
-    return time.perf_counter_ns()
+def _round_trip(bench_id: str, sizes, reps: int, rng: random.Random,
+                steps) -> list[BenchRecord]:
+    """Per rep, draw a payload and time each (direction, step) on the last one's output."""
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
+    records = []
+    for size in sizes:
+        for rep in range(reps):
+            value = rng.randbytes(size)
+            for direction, step in steps:
+                t0 = _now()
+                value = step(value)
+                t1 = _now()
+                records.append(BenchRecord(bench_id, size, rep, max(t1 - t0, 1),
+                                           {"direction": direction}))
+    return records
 
 
 def bench_base64(sizes=DEFAULT_BASE64_SIZES, reps: int = DEFAULT_REPS,
                  seed: int = 0) -> list[BenchRecord]:
     """Encode and decode random payloads; one record per direction per rep."""
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    rng = random.Random(seed)
-    records = []
-    for size in sizes:
-        for rep in range(reps):
-            data = rng.randbytes(size)
-            t0 = _now()
-            text = base64_encode(data)
-            t1 = _now()
-            records.append(BenchRecord("base64", size, rep, max(t1 - t0, 1),
-                                       {"direction": "encode"}))
-            t0 = _now()
-            base64_decode(text)
-            t1 = _now()
-            records.append(BenchRecord("base64", size, rep, max(t1 - t0, 1),
-                                       {"direction": "decode"}))
-    return records
+    return _round_trip("base64", sizes, reps, random.Random(seed),
+                       (("encode", base64_encode), ("decode", base64_decode)))
 
 
 def bench_crypto(sizes=DEFAULT_CRYPTO_SIZES, reps: int = DEFAULT_REPS,
                  seed: int = 0) -> list[BenchRecord]:
     """Encrypt and decrypt random payloads; decrypt reuses this run's ciphers."""
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
     rng = random.Random(seed)
     key = rng.randbytes(crypto.KEY_SIZE)
-    records = []
-    for size in sizes:
-        for rep in range(reps):
-            data = rng.randbytes(size)
-            t0 = _now()
-            envelope = crypto.encrypt(key, data)
-            t1 = _now()
-            records.append(BenchRecord("crypto", size, rep, max(t1 - t0, 1),
-                                       {"direction": "encrypt"}))
-            t0 = _now()
-            crypto.decrypt(key, envelope)
-            t1 = _now()
-            records.append(BenchRecord("crypto", size, rep, max(t1 - t0, 1),
-                                       {"direction": "decrypt"}))
-    return records
+    return _round_trip("crypto", sizes, reps, rng,
+                       (("encrypt", partial(crypto.encrypt, key)),
+                        ("decrypt", partial(crypto.decrypt, key))))
 
 
 def bench_tcp(sizes=DEFAULT_TCP_SIZES, reps: int = DEFAULT_REPS,
@@ -168,8 +155,7 @@ def bench_store_insert(store_dir: str | Path, keyfile: str | Path,
         raise BenchError(f"store directory {root} already holds objects; use a fresh one")
     rng = random.Random(seed)
     records = []
-    store = open_store(root, keyfile)
-    try:
+    with closing(open_store(root, keyfile)) as store:
         for i in range(1, n_keys + 1):
             key_id = make_key_id(i, id_size)
             value = rng.randbytes(value_size)
@@ -178,8 +164,6 @@ def bench_store_insert(store_dir: str | Path, keyfile: str | Path,
             t1 = _now()
             records.append(BenchRecord("store-insert", value_size, i - 1, max(t1 - t0, 1),
                                        {"keys_stored": str(i)}))
-    finally:
-        store.close()
     return records
 
 
@@ -195,9 +179,8 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
     steady-state rows are exactly those issued against a full cache.
     """
     ids = [make_key_id(i, id_size) for i in range(1, n_keys + 1)]
-    store = open_store(store_dir, keyfile)
     records = []
-    try:
+    with closing(open_store(store_dir, keyfile)) as store:
         try:
             store.read_ss(ids[0])
             store.read_ss(ids[-1])
@@ -219,8 +202,6 @@ def bench_cache_query(store_dir: str | Path, keyfile: str | Path,
             outcome = "hit" if cache.stats.hits > hits_before else "miss"
             records.append(BenchRecord("cache-query", len(value), q, max(t1 - t0, 1),
                                        {"outcome": outcome, "resident": str(resident_before)}))
-    finally:
-        store.close()
     return records
 
 

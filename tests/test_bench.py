@@ -175,6 +175,13 @@ def test_ecg_stream_two_clients():
     assert all(r.extra["verified"] == r.extra["batches"] for r in records)
 
 
+def test_ecg_stream_against_endpoint(live_daemon):
+    records = bench_ecg_stream(n_clients=2, stream_seconds=0.5, seed=4,
+                               endpoint=live_daemon.address)
+    assert len(records) == 2
+    assert all(r.extra["verified"] == r.extra["batches"] for r in records)
+
+
 def test_ecg_stream_zero_clients():
     assert bench_ecg_stream(n_clients=0, stream_seconds=60) == []
 
@@ -232,3 +239,10 @@ def test_cli_store_insert_then_cache_query(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "steady-state hit fraction" in err
     assert len(read_csv(tmp_path / "q.csv")) == 500
+
+
+def test_cli_ecg_stream_against_endpoint(live_daemon, capsys):
+    host, port = live_daemon.address
+    assert bench_main(["ecg-stream", "--clients", "1", "--seconds", "0.5",
+                       "--endpoint", f"{host}:{port}"]) == 0
+    assert "# client 0:" in capsys.readouterr().err

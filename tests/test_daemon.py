@@ -352,6 +352,18 @@ def test_reverse_connect_and_redial(daemon_config):
             conn2.close()
 
 
+def test_reverse_mode_redials_until_the_peer_listens(daemon_config):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = daemon_config(mode=ConnectionMode.REVERSE_CONNECT, port=port)
+    with daemon_in_thread(config):
+        time.sleep(0.3)  # several dials are refused before anyone listens
+        with Listener("127.0.0.1", port) as listener:
+            with listener.accept(timeout=5) as conn:
+                assert exchange(conn, WireFrame("PING")) == WireFrame(OP_OK)
+
+
 def test_startup_failure_exits_nonzero(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("file in the way")
