@@ -31,16 +31,15 @@ A failed padding check leaves nothing behind that the next call
 depends on, since every call starts by overwriting the chain value.
 Contexts never leave their thread, and the map is keyed by the key
 bytes, so a key that is overwritten in the store simply stops being
-looked up.  The map holds at most _CONTEXTS_PER_THREAD keys and drops
-the least recently used one when a new key would exceed that.  Keys and
-contexts appear in no repr, log line or exception message.
+looked up.  The map holds at most _CONTEXTS_PER_THREAD keys and is
+emptied when a new key would exceed that.  Keys and contexts appear in
+no repr, log line or exception message.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -51,19 +50,12 @@ KEY_SIZE = 32
 IV_SIZE = 16
 BLOCK_SIZE = 16
 
-#: Keys whose contexts one thread keeps: more than the daemon's default
-#: cache capacity (128) plus a sink key, at about 2.1 KiB per key.
+#: Keys whose contexts one thread keeps before it drops them all; at
+#: about 2.1 KiB per key that is at most about 0.6 MiB per thread.
 _CONTEXTS_PER_THREAD = 256
 #: _PADS[n] is the PKCS#7 padding of n bytes (index 0 is never valid).
 _PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
-
-
-class _ThreadContexts(threading.local):
-    def __init__(self) -> None:
-        self.contexts: OrderedDict[bytes, tuple] = OrderedDict()
-
-
-_local = _ThreadContexts()
+_local = threading.local()
 
 
 def generate_key() -> bytes:
@@ -74,17 +66,18 @@ def generate_key() -> bytes:
 def _contexts(key: bytes):
     """This thread's (encryptor, decryptor) pair for key, built on first use."""
     key = bytes(key)
-    contexts = _local.contexts
+    try:
+        contexts = _local.contexts
+    except AttributeError:
+        contexts = _local.contexts = {}
     pair = contexts.get(key)
     if pair is None:
         if len(key) != KEY_SIZE:
             raise ValueError(f"key must be exactly {KEY_SIZE} bytes, got {len(key)}")
         if len(contexts) >= _CONTEXTS_PER_THREAD:
-            contexts.popitem(last=False)
+            contexts.clear()
         cipher = Cipher(algorithms.AES(key), modes.CBC(bytes(IV_SIZE)))
         pair = contexts[key] = (cipher.encryptor(), cipher.decryptor())
-    else:
-        contexts.move_to_end(key)
     return pair
 
 

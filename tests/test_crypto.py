@@ -297,16 +297,6 @@ def test_key_types_and_context_bound():
     assert decrypt(key, envelope) == b"x"
 
 
-def test_recently_used_key_keeps_its_contexts():
-    hot = generate_key()
-    encrypt(hot, b"x")
-    pair = crypto._local.contexts[hot]
-    for _ in range(crypto._CONTEXTS_PER_THREAD + 5):
-        encrypt(generate_key(), b"y")
-        encrypt(hot, b"x")
-    assert crypto._local.contexts[hot] is pair
-
-
 def test_threads_sharing_keys_round_trip():
     keys = [generate_key() for _ in range(3)]
     failures = []
