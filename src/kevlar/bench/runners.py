@@ -236,6 +236,8 @@ def bench_ecg_stream(n_clients: int = 1, stream_seconds: float = 60.0, seed: int
     """
     if n_clients < 0:
         raise ValueError("n_clients must be >= 0")
+    if not 0 < stream_seconds < float("inf"):
+        raise ValueError(f"stream_seconds must be positive and finite, got {stream_seconds}")
     if n_clients == 0:
         return []
     if endpoint is not None:

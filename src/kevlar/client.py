@@ -46,6 +46,16 @@ def _hex_bytes(text: str) -> bytes:
         raise argparse.ArgumentTypeError(f"not a hex string: {text!r}")
 
 
+def _seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a positive finite number of seconds: {text!r}")
+    return seconds
+
+
 def _request(
     endpoint: Endpoint, timeout: float, frame: WireFrame
 ) -> tuple[int, WireFrame | None]:
@@ -81,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("listen", "connect"), default="listen",
                         help="listen: open the server socket the daemon dials (default); "
                              "connect: dial a listening daemon")
-    parser.add_argument("--timeout", type=float, default=15.0,
-                        help="seconds to wait for the daemon")
+    parser.add_argument("--timeout", type=_seconds, default=15.0,
+                        help="seconds to wait for the daemon (a positive number)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     save = sub.add_parser("serve-and-save", help="store one key/value pair")

@@ -7,12 +7,13 @@ handle opened with the same 32-byte sealing key can read them back.
 
 On-disk layout of a sealed object:
 
-    [4B magic "KVTZ"][1B version 0x01][12B nonce][ciphertext || 16B tag]
+    [4B magic "KVTZ"][1B version 0x02][12B nonce][AES-256-GCM(value) || 16B tag]
 
-The plaintext record inside the AEAD is ``id_length (4B big-endian) ||
-id || value``; magic and version are bound as associated data, so a flip
-anywhere in the file fails authentication.  Overwrites go through a
-temp-file-then-rename, so a reader never observes a torn record.
+Magic, version and id are the associated data, so a flip anywhere in
+the file, or a file moved to another id's name, fails authentication;
+a file is 33 bytes plus the value.  Files of any other version are
+refused as malformed.  Overwrites go through a temp-file-then-rename,
+so a reader never observes a torn object.
 
 The sealing key lives in a keyfile (raw 32 bytes, owner-only); this is
 an explicitly weaker stand-in for a hardware-unique key.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .errors import BadKeyfileError, IntegrityError, NotFoundError, StoreIOError
 logger = logging.getLogger(__name__)
 
 MAGIC = b"KVTZ"
-VERSION = 1
+VERSION = 2
 KEY_SIZE = 32
 NONCE_SIZE = 12
 TAG_SIZE = 16
@@ -127,15 +127,12 @@ class SecureStore:
 
     def write_ss(self, id: bytes, value: bytes) -> None:
         """Seal value under id, atomically replacing any previous object."""
-        self._check_open()
         id = bytes(id)
-        value = bytes(value)
+        path = self.object_path(id)
         if not id:
             raise ValueError("id must be non-empty")
-        record = struct.pack(">I", len(id)) + id + value
         nonce = os.urandom(NONCE_SIZE)
-        sealed = _HEADER + nonce + self._aead.encrypt(nonce, record, _HEADER)
-        path = self.object_path(id)
+        sealed = _HEADER + nonce + self._aead.encrypt(nonce, value, _HEADER + id)
         try:
             fd, tmp = tempfile.mkstemp(dir=self._root, prefix=".write-")
             try:
@@ -155,7 +152,6 @@ class SecureStore:
 
     def read_ss(self, id: bytes) -> bytes:
         """Return the most recently written value for id, in cleartext."""
-        self._check_open()
         id = bytes(id)
         path = self.object_path(id)
         try:
@@ -168,12 +164,6 @@ class SecureStore:
             raise IntegrityError(f"object for id {id!r} is malformed")
         nonce = blob[len(_HEADER) : _HEADER_SIZE]
         try:
-            record = self._aead.decrypt(nonce, blob[_HEADER_SIZE:], _HEADER)
+            return self._aead.decrypt(nonce, blob[_HEADER_SIZE:], _HEADER + id)
         except InvalidTag:
             raise IntegrityError(f"object for id {id!r} failed authentication") from None
-        if len(record) < 4:
-            raise IntegrityError(f"object for id {id!r} has a truncated record")
-        (id_len,) = struct.unpack(">I", record[:4])
-        if 4 + id_len > len(record) or record[4 : 4 + id_len] != id:
-            raise IntegrityError(f"object for id {id!r} holds a different sealed id")
-        return record[4 + id_len :]

@@ -91,10 +91,10 @@ class Connection:
     def frame_ready(self) -> bool:
         """True when receive_frame() returns or raises without reading.
 
-        That is when a whole line, or more than MAX_FRAME bytes without
-        a terminator, is buffered.
+        That is when a whole line of at most MAX_FRAME bytes, or
+        MAX_FRAME bytes without a terminator among them, is buffered.
         """
-        return b"\n" in self._buf or len(self._buf) > MAX_FRAME
+        return len(self._buf) >= MAX_FRAME or self._buf.find(b"\n", 0, MAX_FRAME) != -1
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -132,26 +132,22 @@ class Connection:
         """Block until one newline-terminated line is buffered; return it.
 
         The terminator is included; bytes after it stay buffered for the
-        next call.  More than MAX_FRAME bytes, terminated or not, is a
-        protocol violation: the connection is closed.  On a non-blocking
-        socket, call it only when frame_ready is true.
+        next call.  A line longer than MAX_FRAME bytes is a protocol
+        violation: the connection is closed as soon as MAX_FRAME bytes
+        without a terminator are buffered.  On a non-blocking socket,
+        call it only when frame_ready is true.
         """
         if not self._open:
             raise PeerClosedError("connection is closed")
         while True:
-            idx = self._buf.find(b"\n")
+            idx = self._buf.find(b"\n", 0, MAX_FRAME)
             if idx != -1:
                 frame = bytes(self._buf[: idx + 1])
                 del self._buf[: idx + 1]
-                if len(frame) > MAX_FRAME:
-                    self.close()
-                    raise FrameTooLargeError(f"frame is {len(frame)} bytes, limit {MAX_FRAME}")
                 return frame
-            if len(self._buf) > MAX_FRAME:
+            if len(self._buf) >= MAX_FRAME:
                 self.close()
-                raise FrameTooLargeError(
-                    f"{len(self._buf)} buffered bytes without a terminator"
-                )
+                raise FrameTooLargeError(f"no terminator in the first {MAX_FRAME} bytes")
             self.fill()
 
     def receive_exact(self, n: int) -> bytes:

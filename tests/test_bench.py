@@ -179,6 +179,14 @@ def test_ecg_stream_zero_clients():
     assert bench_ecg_stream(n_clients=0, stream_seconds=60) == []
 
 
+@pytest.mark.parametrize("seconds", ["0", "-1", "inf", "nan"])
+def test_cli_ecg_stream_rejects_seconds_not_positive_and_finite(seconds, capsys):
+    assert bench_main(["ecg-stream", "--seconds", seconds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stream_seconds must be positive and finite" in captured.err
+
+
 def test_ecg_stream_paced_respects_cadence():
     t0 = time.perf_counter()
     records = bench_ecg_stream(n_clients=1, stream_seconds=0.3, seed=2, paced=True)

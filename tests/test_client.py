@@ -82,6 +82,33 @@ def test_out_of_range_port_is_usage_error(mode, capsys):
     assert "port out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", ["-1", "nan", "inf", "0"])
+def test_timeout_must_be_positive_and_finite(seconds, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--mode", "connect", "--timeout", seconds, "ping"])
+    assert excinfo.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_unexpected_response_op_is_an_error(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+
+        def reply():
+            peer, _ = server.accept()
+            with peer:
+                peer.recv(64)
+                peer.sendall(b"PONG\n")
+
+        peer_thread = threading.Thread(target=reply, daemon=True)
+        peer_thread.start()
+        status = main(["--endpoint", f"127.0.0.1:{port}", "--mode", "connect",
+                       "--timeout", "5", "ping"])
+        peer_thread.join(timeout=5)
+    assert status == EXIT_ERROR
+    assert "kevlar-client: unexpected response PONG" in capsys.readouterr().err
+
+
 def test_connect_failure_exit_code(capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

@@ -1,13 +1,15 @@
 import hashlib
 import os
+import struct
 import threading
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from kevlar.errors import BadKeyfileError, IntegrityError, NotFoundError, StoreIOError
-from kevlar.store import KEY_SIZE, MAGIC, OBJECT_SUFFIX, open_store
+from kevlar.store import KEY_SIZE, MAGIC, NONCE_SIZE, OBJECT_SUFFIX, TAG_SIZE, open_store
 
 
 def _dir_digest(root) -> dict[str, bytes]:
@@ -72,6 +74,26 @@ def test_value_not_stored_in_plaintext(store):
     assert value not in blob
     assert b"client000001" not in blob
     assert blob.startswith(MAGIC)
+
+
+def test_object_file_is_header_nonce_sealed_value(store):
+    # The id is associated data only: nothing but the value is encrypted.
+    for value in (b"", b"12345678", os.urandom(256)):
+        store.write_ss(b"client000001", value)
+        size = store.object_path(b"client000001").stat().st_size
+        assert size == len(MAGIC) + 1 + NONCE_SIZE + len(value) + TAG_SIZE
+
+
+def test_version_1_object_is_refused(tmp_path, store):
+    # Version 1 sealed the record id_length (4B) || id || value under
+    # magic and version only; such a file must not be returned.
+    header = MAGIC + bytes([1])
+    nonce = os.urandom(NONCE_SIZE)
+    record = struct.pack(">I", 3) + b"abc" + b"12345678"
+    aead = AESGCM((tmp_path / "sealing.key").read_bytes())
+    store.object_path(b"abc").write_bytes(header + nonce + aead.encrypt(nonce, record, header))
+    with pytest.raises(IntegrityError, match="malformed"):
+        store.read_ss(b"abc")
 
 
 def test_read_missing_id(store):

@@ -9,6 +9,7 @@ from kevlar.errors import (
     ConnectRefusedError,
     FrameTooLargeError,
     PeerClosedError,
+    TransportError,
 )
 from kevlar.transport import (
     Connection,
@@ -125,6 +126,12 @@ def test_oversized_line_closes_connection():
             except PeerClosedError:
                 thread.join()
         assert errors
+
+
+def test_accept_times_out_without_a_peer():
+    with Listener("127.0.0.1", 0) as listener:
+        with pytest.raises(TransportError, match="timed out waiting for a peer"):
+            listener.accept(timeout=0.05)
 
 
 def test_peer_eof_raises_peer_closed(pair):

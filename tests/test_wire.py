@@ -189,6 +189,12 @@ def test_frame_parse_rejects(line):
         frame_parse(line)
 
 
+@pytest.mark.parametrize("op", ["ok", "", "A" * 33, "PING\n", "P\u00cdNG"])
+def test_frame_serialize_rejects_illegal_op(op):
+    with pytest.raises(InvalidFrameError):
+        frame_serialize(WireFrame(op))
+
+
 def test_frame_too_large():
     frame = WireFrame("SAVE", (b"x" * MAX_FRAME,))
     with pytest.raises(FrameTooLargeError):
