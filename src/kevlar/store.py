@@ -1,7 +1,7 @@
 """Durable sealed object store.
 
 A userspace stand-in for TEE-style trusted storage: every object is one
-file holding an AES-256-GCM sealed record, named by the SHA-256 of its
+file holding its AES-256-GCM sealed value, named by the SHA-256 of its
 id.  Objects are confidential and tamper-evident at rest, and only a
 handle opened with the same 32-byte sealing key can read them back.
 
