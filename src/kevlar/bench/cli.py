@@ -31,11 +31,24 @@ from .runners import (
 )
 
 
+def _at_least(low: int):
+    """An argparse type for integers of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_count = _at_least(0)
+
+
 def _sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers: {text!r}")
+    return tuple(_count(part) for part in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,19 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("bench_id", choices=EXTRA_COLUMNS)
     parser.add_argument("--sizes", type=_sizes, default=None,
                         help="comma-separated payload sizes in bytes")
-    parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    parser.add_argument("--clients", type=int, default=1, help="ecg-stream: simulated clients")
+    parser.add_argument("--reps", type=_count, default=DEFAULT_REPS)
+    parser.add_argument("--clients", type=_count, default=1, help="ecg-stream: simulated clients")
     parser.add_argument("--seconds", type=float, default=60.0, help="ecg-stream: stream length")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="CSV path (default: stdout)")
     parser.add_argument("--store-dir", default="./bench-store",
                         help="store-insert / cache-query: object directory")
     parser.add_argument("--keyfile", default="./bench-store.key")
-    parser.add_argument("--n-keys", type=int, default=DEFAULT_STORE_KEYS)
+    parser.add_argument("--n-keys", type=_at_least(1), default=DEFAULT_STORE_KEYS)
     parser.add_argument("--id-size", type=int, default=DEFAULT_STORE_ID_SIZE)
-    parser.add_argument("--value-size", type=int, default=DEFAULT_STORE_VALUE_SIZE)
+    parser.add_argument("--value-size", type=_count, default=DEFAULT_STORE_VALUE_SIZE)
     parser.add_argument("--capacity", type=int, default=50, help="cache-query: cache capacity")
-    parser.add_argument("--queries", type=int, default=10000, help="cache-query: query count")
+    parser.add_argument("--queries", type=_count, default=10000, help="cache-query: query count")
     parser.add_argument("--paced", action="store_true",
                         help="ecg-stream: pace batches at the real 93.4 ms cadence")
     parser.add_argument("--endpoint", default=None,

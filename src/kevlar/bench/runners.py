@@ -20,6 +20,7 @@ from .. import crypto
 from ..cache import Cache, CacheConfig
 from ..client import exchange
 from ..daemon import DaemonConfig, daemon_in_thread
+from ..errors import TransportError
 from ..store import OBJECT_SUFFIX, open_store
 from ..transport import ConnectionMode, Endpoint, Listener, connect
 from ..wire import OP_OK, OP_REENC, OP_SAVE, WireFrame, base64_decode, base64_encode
@@ -261,10 +262,13 @@ def _run_ecg(host: str, port: int, n_clients: int, stream_seconds: float,
     client_keys = [rng.randbytes(crypto.KEY_SIZE) for _ in range(n_clients)]
     sink_key = rng.randbytes(crypto.KEY_SIZE)
 
-    with connect(host, port, timeout=5.0) as setup:
-        _save_key(setup, SINK_ID, sink_key)
-        for key_id, key in zip(client_ids, client_keys):
-            _save_key(setup, key_id, key)
+    try:
+        with connect(host, port, timeout=5.0) as setup:
+            _save_key(setup, SINK_ID, sink_key)
+            for key_id, key in zip(client_ids, client_keys):
+                _save_key(setup, key_id, key)
+    except TransportError as exc:
+        raise BenchError(f"ecg set-up failed: {exc}") from exc
 
     streams = [generate_stream(stream_seconds, seed + 1000 + i) for i in range(n_clients)]
     results: list[BenchRecord | None] = [None] * n_clients

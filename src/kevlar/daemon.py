@@ -6,9 +6,9 @@ Exactly one thread owns the cache and every socket: it runs a
 `selectors` event loop over the listener and all connections, and
 handles each connection's lines in arrival order, so responses on a
 connection are never reordered and no request input can kill the loop.
-A peer that stops reading its replies stops being read once its unsent
-replies pass a bound, so it cannot stall the others or grow the
-daemon's buffers.
+A peer is read only while none of its replies is unsent, so the
+kernel's socket buffers queue its replies; a peer that stops reading
+them cannot stall the others or grow the daemon's buffers.
 
 In reverse-connect mode (the default) the daemon dials out to the
 untrusted peer's listening socket, retrying until it appears, and
@@ -57,7 +57,6 @@ from .transport import (
     parse_hostport,
 )
 from .wire import (
-    MAX_FRAME,
     OP_ERR,
     OP_OK,
     OP_PING,
@@ -72,14 +71,6 @@ from .wire import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: A connection whose unsent reply bytes exceed OUTPUT_LIMIT is not read,
-#: nor are its buffered lines handled, until the peer takes enough of them.
-#: It is read only with at most MAX_FRAME unparsed bytes buffered, so it
-#: holds at most MAX_FRAME plus one 64 KiB read of input and OUTPUT_LIMIT
-#: plus one reply of output.
-OUTPUT_LIMIT_FRAMES = 4
-OUTPUT_LIMIT = OUTPUT_LIMIT_FRAMES * MAX_FRAME
 
 #: Reverse mode: how long one dial may take, and the pause before the next.
 _CONNECT_TIMEOUT = 1.0
@@ -253,14 +244,14 @@ class Daemon:
         self._watch_listener()
 
     def _service(self, key: selectors.SelectorKey, events: int) -> None:
-        """One readiness event: write, read once, handle the buffered lines."""
+        """One readiness event: write or read once, then handle the buffered lines."""
         conn: Connection = key.data
         try:
             if events & selectors.EVENT_WRITE:
                 conn.flush()
-            if events & selectors.EVENT_READ:
+            else:
                 conn.fill()
-            while conn.frame_ready and conn.pending <= OUTPUT_LIMIT:
+            while conn.frame_ready and not conn.pending:
                 self._handle_frame(conn, conn.receive_frame())
                 if self._stop.is_set():
                     return
@@ -273,10 +264,9 @@ class Daemon:
             logger.debug("connection %s done: %s", conn.peer, exc)
             self._drop(conn)
             return
-        # Past the bound only write readiness is watched: the peer is not read.
-        wanted = selectors.EVENT_WRITE if conn.pending else 0
-        if conn.pending <= OUTPUT_LIMIT:
-            wanted |= selectors.EVENT_READ
+        # Read only with no reply unsent: a connection holds less than MAX_FRAME
+        # plus one 64 KiB read of input, and one reply (<= MAX_FRAME) of output.
+        wanted = selectors.EVENT_WRITE if conn.pending else selectors.EVENT_READ
         if wanted != key.events:
             self._selector.modify(conn, wanted, conn)
 

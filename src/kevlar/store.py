@@ -16,11 +16,13 @@ refused as malformed.  Overwrites go through a temp-file-then-rename,
 so a reader never observes a torn object.
 
 The sealing key lives in a keyfile (raw 32 bytes, owner-only); this is
-an explicitly weaker stand-in for a hardware-unique key.
+an explicitly weaker stand-in for a hardware-unique key.  It is written
+the same way, but published with a hard link, so it is never replaced.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
@@ -58,15 +60,31 @@ def _load_or_create_key(keyfile: Path) -> bytes:
         return key
     key = os.urandom(KEY_SIZE)
     try:
-        fd = os.open(keyfile, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-        try:
-            os.write(fd, key)
-        finally:
-            os.close(fd)
+        # A link, unlike a rename, never replaces a key another opener made.
+        _write_file(keyfile, key, os.link)
     except OSError as exc:
         raise StoreIOError(f"cannot create keyfile {keyfile}: {exc}") from exc
     logger.info("generated new sealing key at %s", keyfile)
     return key
+
+
+def _write_file(path: Path, data: bytes, publish) -> None:
+    """Write data to path through an fsynced, owner-only temp file beside it.
+
+    publish(temp, path) puts the temp file in place: os.replace overwrites
+    path and os.link fails if path exists.  Either way path never holds
+    part of data, and the temp name is gone afterwards.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".write-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        publish(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _reason(exc: OSError) -> str:
@@ -134,19 +152,7 @@ class SecureStore:
         nonce = os.urandom(NONCE_SIZE)
         sealed = _HEADER + nonce + self._aead.encrypt(nonce, value, _HEADER + id)
         try:
-            fd, tmp = tempfile.mkstemp(dir=self._root, prefix=".write-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(sealed)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _write_file(path, sealed, os.replace)
         except OSError as exc:
             raise StoreIOError(f"cannot write object for id {id!r}: {_reason(exc)}") from exc
 

@@ -4,6 +4,7 @@ Each test prints one pass/fail line (visible with ``pytest -s``) before
 asserting, so a full run yields a criterion-by-criterion report.
 """
 
+import contextlib
 import random
 import statistics
 import subprocess
@@ -60,18 +61,22 @@ def test_criterion_01_cache_model_equivalence():
     assert ok
 
 
-def _spawn_daemon(tmp_path):
-    proc = subprocess.Popen(
+@contextlib.contextmanager
+def _spawned_daemon(tmp_path):
+    """Run a listen-mode daemon process; yield its (host, port), then SIGKILL it."""
+    with subprocess.Popen(
         [sys.executable, "-m", "kevlar.daemon",
          "--mode", "listen", "--endpoint", "127.0.0.1:0",
          "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key"),
          "--capacity", "64", "--id-size", "12", "--value-size", "32"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-    )
-    line = proc.stdout.readline()
-    assert "listening on" in line, f"daemon failed to start: {line!r}"
-    host, port = parse_hostport(line.strip().rsplit(" ", 1)[-1])
-    return proc, host, port
+    ) as proc:  # on exit: close the pipe and reap the process
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, f"daemon failed to start: {line!r}"
+            yield parse_hostport(line.strip().rsplit(" ", 1)[-1])
+        finally:
+            proc.kill()  # SIGKILL: no shutdown path runs
 
 
 def test_criterion_02_write_through_durability(tmp_path):
@@ -79,27 +84,17 @@ def test_criterion_02_write_through_durability(tmp_path):
     rng = random.Random(2024)
     objects = {make_key_id(i): rng.randbytes(32) for i in range(1, 201)}
 
-    proc, host, port = _spawn_daemon(tmp_path)
-    try:
-        with connect(host, port, timeout=5) as conn:
-            for key_id, value in objects.items():
-                response = exchange(conn, WireFrame("SAVE", (key_id, value)))
-                assert response.op == OP_OK
-    finally:
-        proc.kill()  # SIGKILL: no shutdown path runs
-        proc.wait(timeout=10)
+    with _spawned_daemon(tmp_path) as (host, port), connect(host, port, timeout=5) as conn:
+        for key_id, value in objects.items():
+            response = exchange(conn, WireFrame("SAVE", (key_id, value)))
+            assert response.op == OP_OK
 
-    proc, host, port = _spawn_daemon(tmp_path)
-    try:
-        intact = 0
-        with connect(host, port, timeout=5) as conn:
-            for key_id, value in objects.items():
-                response = exchange(conn, WireFrame("QUERY", (key_id,)))
-                if response == WireFrame(OP_OK, (value,)):
-                    intact += 1
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
+    intact = 0
+    with _spawned_daemon(tmp_path) as (host, port), connect(host, port, timeout=5) as conn:
+        for key_id, value in objects.items():
+            response = exchange(conn, WireFrame("QUERY", (key_id,)))
+            if response == WireFrame(OP_OK, (value,)):
+                intact += 1
 
     elapsed = time.perf_counter() - started
     ok = intact == 200 and elapsed < 30

@@ -249,3 +249,29 @@ def test_cli_ecg_stream_against_endpoint(live_daemon, capsys):
     err = capsys.readouterr().err
     batches = re.search(r"# client 0: (\d+) batches, (\d+) verified", err)
     assert batches and int(batches[1]) > 0 and batches[1] == batches[2]
+
+
+@pytest.mark.parametrize("bench_id, flag, value", [
+    ("base64", "--reps", "-1"),
+    ("base64", "--sizes", "16,-5"),
+    ("ecg-stream", "--clients", "-1"),
+    ("cache-query", "--queries", "-1"),
+    ("store-insert", "--value-size", "-1"),
+    ("cache-query", "--n-keys", "0"),
+])
+def test_cli_rejects_counts_out_of_range(bench_id, flag, value, capsys):
+    with pytest.raises(SystemExit) as exited:
+        bench_main([bench_id, flag, value])
+    assert exited.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_cli_accepts_zero_counts(capsys):
+    assert bench_main(["base64", "--sizes", "0", "--reps", "0"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1  # the CSV header only
+
+
+def test_cli_ecg_stream_at_closed_port_fails_cleanly(capsys):
+    status = bench_main(["ecg-stream", "--seconds", "0.1", "--endpoint", "127.0.0.1:1"])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("kevlar-bench: ecg set-up failed: ")

@@ -171,21 +171,21 @@ def test_default_listen_mode_with_reverse_daemon(daemon_config, capsys):
 
 
 def test_console_entry_daemon_and_client(tmp_path):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "kevlar.daemon",
          "--mode", "listen", "--endpoint", "127.0.0.1:0",
          "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key")],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert "listening on" in line
-        endpoint = line.strip().rsplit(" ", 1)[-1]
-        assert main(["--endpoint", endpoint, "--mode", "connect", "--timeout", "5",
-                     "ping"]) == EXIT_OK
-        assert main(["--endpoint", endpoint, "--mode", "connect", "--timeout", "5",
-                     "quit"]) == EXIT_OK
-        assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:  # on exit: close the pipe and reap the process
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line
+            endpoint = line.strip().rsplit(" ", 1)[-1]
+            assert main(["--endpoint", endpoint, "--mode", "connect", "--timeout", "5",
+                         "ping"]) == EXIT_OK
+            assert main(["--endpoint", endpoint, "--mode", "connect", "--timeout", "5",
+                         "quit"]) == EXIT_OK
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()

@@ -20,7 +20,6 @@ from kevlar import daemon as daemon_module
 from kevlar.cache import Cache, CacheConfig
 from kevlar.client import exchange
 from kevlar.daemon import (
-    OUTPUT_LIMIT_FRAMES,
     Daemon,
     ErrorCode,
     daemon_in_thread,
@@ -571,12 +570,19 @@ def test_fuzzed_frames_never_kill_daemon(daemon_config):
 # --- one serving thread: isolation between peers and bounded resources ---
 
 
+#: The daemon's reply to each QUERY of _stalled_peer: 4004 bytes.
+_BIG_REPLY = frame_serialize(WireFrame(OP_OK, (b"v" * 3000,)))
+
+
 @contextlib.contextmanager
-def _stalled_peer(daemon):
-    """A peer that pipelines 1.1 MB of QUERYs and reads none of the 4 KB replies."""
+def _stalled_peer(daemon, queries=100_000):
+    """A peer that pipelines QUERYs (1.1 MB by default) and reads none of the replies.
+
+    Yields its socket; each reply is _BIG_REPLY.
+    """
     with _dial(daemon) as conn:
         assert exchange(conn, WireFrame("SAVE", (b"big", b"v" * 3000))).op == OP_OK
-    flood = frame_serialize(WireFrame("QUERY", (b"big",))) * 100_000
+    flood = frame_serialize(WireFrame("QUERY", (b"big",))) * queries
     sock = socket.socket()
     # A small fixed receive window makes the daemon's replies back up quickly.
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
@@ -589,7 +595,7 @@ def _stalled_peer(daemon):
     thread = threading.Thread(target=send_flood, daemon=True)
     thread.start()
     try:
-        yield
+        yield sock
     finally:
         sock.shutdown(socket.SHUT_RDWR)  # wakes a sendall blocked on a full window
         thread.join(timeout=5)
@@ -608,17 +614,36 @@ def test_stalled_peer_does_not_block_others(daemon_config):
                 assert time.monotonic() - started < 1.0
 
 
+def _wait_for_unsent_reply(daemon):
+    deadline = time.monotonic() + 5
+    while not any(c.pending for c in list(daemon._conns)):
+        assert time.monotonic() < deadline, "the peer's replies never backed up"
+        time.sleep(0.01)
+
+
 def test_stalled_peer_output_stays_bounded(daemon_config):
-    limit = OUTPUT_LIMIT_FRAMES * MAX_FRAME
     with daemon_in_thread(daemon_config()) as daemon:
         with _stalled_peer(daemon):
-            deadline = time.monotonic() + 5
-            while not any(c.pending > limit for c in list(daemon._conns)):
-                assert time.monotonic() < deadline, "the peer's replies never backed up"
-                time.sleep(0.01)
+            _wait_for_unsent_reply(daemon)
+            # The peer is not read while a reply is unsent: at most one is held.
             for _ in range(20):
-                assert max(c.pending for c in list(daemon._conns)) <= limit + MAX_FRAME
+                assert max(c.pending for c in list(daemon._conns)) <= len(_BIG_REPLY)
                 time.sleep(0.01)
+
+
+def test_stalled_peer_is_served_again_once_it_reads(daemon_config):
+    # 3000 replies are 12 MB: far more than the socket buffers hold.
+    with daemon_in_thread(daemon_config()) as daemon:
+        with _stalled_peer(daemon, queries=3000) as sock:
+            _wait_for_unsent_reply(daemon)
+            sock.settimeout(10)
+            expected = _BIG_REPLY * 3000
+            received = bytearray()
+            while len(received) < len(expected):
+                chunk = sock.recv(1 << 20)
+                assert chunk, "the daemon hung up"
+                received += chunk
+            assert received == expected
 
 
 def test_thread_count_does_not_grow_with_connections(live_daemon):

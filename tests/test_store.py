@@ -32,6 +32,21 @@ def test_keyfile_wrong_size_rejected(tmp_path):
         open_store(tmp_path / "store", keyfile)
 
 
+def test_keyfile_that_fails_to_sync_is_not_left_behind(tmp_path, monkeypatch):
+    keyfile = tmp_path / "sealing.key"
+
+    def failing_fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(StoreIOError):
+            open_store(tmp_path / "store", keyfile)
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
+    open_store(tmp_path / "store", keyfile).close()
+    assert len(keyfile.read_bytes()) == KEY_SIZE
+
+
 def test_roundtrip_and_reopen(tmp_path, store):
     value = os.urandom(32)
     store.write_ss(b"client000001", value)
