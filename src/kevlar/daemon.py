@@ -6,14 +6,15 @@ Exactly one thread owns the cache and every socket: it runs a
 `selectors` event loop over the listener and all connections, and
 handles each connection's lines in arrival order, so responses on a
 connection are never reordered and no request input can kill the loop.
-A peer is read only while none of its replies is unsent, so the
-kernel's socket buffers queue its replies; a peer that stops reading
+Each readiness event handles at most one line, so peers take turns.  A
+peer is read only while it has no line buffered and no reply unsent, so
+the kernel's socket buffers queue its replies; a peer that stops reading
 them cannot stall the others or grow the daemon's buffers.
 
 In reverse-connect mode (the default) the daemon dials out to the
 untrusted peer's listening socket, retrying until it appears, and
 redials after the peer hangs up.  LISTEN mode binds a socket and serves
-any number of peers, one request at a time; a peer beyond the process's
+any number of peers, one line per peer per turn; a peer beyond the
 descriptor limit waits in the kernel backlog until another hangs up.
 
 Graceful shutdown has nothing to flush: the cache is write-through.
@@ -244,17 +245,15 @@ class Daemon:
         self._watch_listener()
 
     def _service(self, key: selectors.SelectorKey, events: int) -> None:
-        """One readiness event: write or read once, then handle the buffered lines."""
+        """One readiness event: write or read once, then handle at most one line."""
         conn: Connection = key.data
         try:
             if events & selectors.EVENT_WRITE:
                 conn.flush()
             else:
                 conn.fill()
-            while conn.frame_ready and not conn.pending:
+            if conn.frame_ready and not conn.pending:
                 self._handle_frame(conn, conn.receive_frame())
-                if self._stop.is_set():
-                    return
         except FrameTooLargeError as exc:
             # Protocol violation: receive_frame already closed the line.
             logger.warning("dropping %s: %s", conn.peer, exc)
@@ -264,9 +263,10 @@ class Daemon:
             logger.debug("connection %s done: %s", conn.peer, exc)
             self._drop(conn)
             return
-        # Read only with no reply unsent: a connection holds less than MAX_FRAME
-        # plus one 64 KiB read of input, and one reply (<= MAX_FRAME) of output.
-        wanted = selectors.EVENT_WRITE if conn.pending else selectors.EVENT_READ
+        # Read only with no line buffered and no reply unsent, so input stays under
+        # MAX_FRAME plus one 64 KiB read and output at one reply.  A socket with room
+        # to send is writable at once: a peer with a line left waits one round.
+        wanted = selectors.EVENT_WRITE if conn.pending or conn.frame_ready else selectors.EVENT_READ
         if wanted != key.events:
             self._selector.modify(conn, wanted, conn)
 

@@ -4,11 +4,8 @@ Each test prints one pass/fail line (visible with ``pytest -s``) before
 asserting, so a full run yields a criterion-by-criterion report.
 """
 
-import contextlib
 import random
 import statistics
-import subprocess
-import sys
 import time
 
 import pytest
@@ -27,7 +24,7 @@ from kevlar.bench.runners import (
 from kevlar.client import exchange
 from kevlar.errors import IntegrityError
 from kevlar.store import open_store
-from kevlar.transport import connect, parse_hostport
+from kevlar.transport import connect
 from kevlar.wire import (
     MAX_FRAME,
     OP_OK,
@@ -39,7 +36,7 @@ from kevlar.wire import (
     frame_serialize,
 )
 
-from test_daemon import _fuzz_corpus, run_fuzz
+from test_daemon import _fuzz_corpus, _spawned_daemon, run_fuzz
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -61,22 +58,8 @@ def test_criterion_01_cache_model_equivalence():
     assert ok
 
 
-@contextlib.contextmanager
-def _spawned_daemon(tmp_path):
-    """Run a listen-mode daemon process; yield its (host, port), then SIGKILL it."""
-    with subprocess.Popen(
-        [sys.executable, "-m", "kevlar.daemon",
-         "--mode", "listen", "--endpoint", "127.0.0.1:0",
-         "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key"),
-         "--capacity", "64", "--id-size", "12", "--value-size", "32"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-    ) as proc:  # on exit: close the pipe and reap the process
-        try:
-            line = proc.stdout.readline()
-            assert "listening on" in line, f"daemon failed to start: {line!r}"
-            yield parse_hostport(line.strip().rsplit(" ", 1)[-1])
-        finally:
-            proc.kill()  # SIGKILL: no shutdown path runs
+#: The cache settings of criterion 2's daemon processes.
+_CRITERION_02_FLAGS = ("--capacity", "64", "--id-size", "12", "--value-size", "32")
 
 
 def test_criterion_02_write_through_durability(tmp_path):
@@ -84,13 +67,13 @@ def test_criterion_02_write_through_durability(tmp_path):
     rng = random.Random(2024)
     objects = {make_key_id(i): rng.randbytes(32) for i in range(1, 201)}
 
-    with _spawned_daemon(tmp_path) as (host, port), connect(host, port, timeout=5) as conn:
+    with _spawned_daemon(tmp_path, *_CRITERION_02_FLAGS) as (host, port), connect(host, port, timeout=5) as conn:
         for key_id, value in objects.items():
             response = exchange(conn, WireFrame("SAVE", (key_id, value)))
             assert response.op == OP_OK
 
     intact = 0
-    with _spawned_daemon(tmp_path) as (host, port), connect(host, port, timeout=5) as conn:
+    with _spawned_daemon(tmp_path, *_CRITERION_02_FLAGS) as (host, port), connect(host, port, timeout=5) as conn:
         for key_id, value in objects.items():
             response = exchange(conn, WireFrame("QUERY", (key_id,)))
             if response == WireFrame(OP_OK, (value,)):

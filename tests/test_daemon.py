@@ -6,6 +6,7 @@ import random
 import re
 import resource
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from kevlar.daemon import (
 )
 from kevlar.errors import PeerClosedError
 from kevlar.store import OBJECT_SUFFIX, open_store
-from kevlar.transport import Connection, ConnectionMode, Listener, connect
+from kevlar.transport import Connection, ConnectionMode, Listener, connect, parse_hostport
 from kevlar.wire import (
     MAX_FRAME,
     OP_ERR,
@@ -40,7 +41,7 @@ from kevlar.wire import (
 from reference_model import MemoryStore
 
 
-def _dial(daemon, io_timeout=None):
+def _dial(daemon, io_timeout=10):
     host, port = daemon.address
     conn = connect(host, port, timeout=5)
     conn._sock.settimeout(io_timeout)
@@ -311,18 +312,32 @@ def test_responses_stay_in_request_order(live_daemon):
             assert response == WireFrame(OP_OK, (b"v%03d" % i,))
 
 
-def test_quit_stops_daemon(daemon_config):
+def _replies_until_hang_up(daemon_config, requests):
+    """Send requests in one write to a daemon on its own thread.
+
+    Returns every byte it sends before it hangs up, once its serving
+    thread has stopped.
+    """
     daemon = Daemon(daemon_config())
     server = threading.Thread(target=daemon.serve_forever, daemon=True)
     server.start()
-    with _dial(daemon) as conn:
-        conn.send(b"QUIT\n")
-        assert conn.receive_frame() == b"OK\n"
-        with pytest.raises(PeerClosedError):
-            conn.receive_frame()
+    with socket.create_connection(daemon.address, timeout=10) as sock:
+        sock.sendall(requests)
+        received = bytearray()
+        while chunk := sock.recv(64):
+            received += chunk
     server.join(timeout=5)
     assert not server.is_alive()
     daemon.close()
+    return received
+
+
+def test_quit_stops_daemon(daemon_config):
+    assert _replies_until_hang_up(daemon_config, b"QUIT\n") == b"OK\n"
+
+
+def test_pipelined_quit_answers_no_line_after_it(daemon_config):
+    assert _replies_until_hang_up(daemon_config, b"PING\nQUIT\nPING\nPING\n") == b"OK\nOK\n"
 
 
 def test_durability_across_daemon_restart(daemon_config):
@@ -397,6 +412,23 @@ def test_python_m_runs_without_runtime_warning(module, prog):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(f"usage: {prog}")
+
+
+@contextlib.contextmanager
+def _spawned_daemon(tmp_path, *flags):
+    """Run a listen-mode daemon process; yield its (host, port), then SIGKILL it."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "kevlar.daemon",
+         "--mode", "listen", "--endpoint", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key"), *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    ) as proc:  # on exit: close the pipe and reap the process
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, f"daemon failed to start: {line!r}"
+            yield parse_hostport(line.strip().rsplit(" ", 1)[-1])
+        finally:
+            proc.kill()  # SIGKILL: no shutdown path runs
 
 
 def _cpu_seconds(pid):
@@ -614,20 +646,30 @@ def test_stalled_peer_does_not_block_others(daemon_config):
                 assert time.monotonic() - started < 1.0
 
 
-def _wait_for_unsent_reply(daemon):
+def _wait_until_stalled(daemon):
+    """Wait until the daemon stops handling some peer.
+
+    That is, a connection has a whole line buffered and its buffered
+    input stays the same for 0.1 s.
+    """
     deadline = time.monotonic() + 5
-    while not any(c.pending for c in list(daemon._conns)):
-        assert time.monotonic() < deadline, "the peer's replies never backed up"
-        time.sleep(0.01)
+    while True:
+        before = {c: bytes(c._buf) for c in list(daemon._conns) if c.frame_ready}
+        time.sleep(0.1)
+        if any(c._buf == buf for c, buf in before.items()):
+            return
+        assert time.monotonic() < deadline, "the daemon never stopped handling the peer"
 
 
 def test_stalled_peer_output_stays_bounded(daemon_config):
     with daemon_in_thread(daemon_config()) as daemon:
         with _stalled_peer(daemon):
-            _wait_for_unsent_reply(daemon)
-            # The peer is not read while a reply is unsent: at most one is held.
+            _wait_until_stalled(daemon)
+            # The peer is not read while a line is buffered or a reply unsent: at
+            # most one reply and, as its lines are short, one 64 KiB read are held.
             for _ in range(20):
                 assert max(c.pending for c in list(daemon._conns)) <= len(_BIG_REPLY)
+                assert max(len(c._buf) for c in list(daemon._conns)) < 2 * 65536
                 time.sleep(0.01)
 
 
@@ -635,7 +677,7 @@ def test_stalled_peer_is_served_again_once_it_reads(daemon_config):
     # 3000 replies are 12 MB: far more than the socket buffers hold.
     with daemon_in_thread(daemon_config()) as daemon:
         with _stalled_peer(daemon, queries=3000) as sock:
-            _wait_for_unsent_reply(daemon)
+            _wait_until_stalled(daemon)
             sock.settimeout(10)
             expected = _BIG_REPLY * 3000
             received = bytearray()
@@ -644,6 +686,57 @@ def test_stalled_peer_is_served_again_once_it_reads(daemon_config):
                 assert chunk, "the daemon hung up"
                 received += chunk
             assert received == expected
+
+
+#: A second process: it sends bursts of 2000 pipelined PINGs, each before
+#: the replies to the one before are read, so the daemon always has a burst
+#: to serve.  It checks that each burst gets 2000 OKs, prints "flooding"
+#: after the first, and goes on for argv[3] seconds more.
+_FLOODER = """
+import socket, sys, time
+host, port, seconds = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+burst = b"PING\\n" * 2000
+
+def read_replies():
+    replies = bytearray()
+    while len(replies) < 3 * 2000:
+        chunk = sock.recv(3 * 2000 - len(replies))
+        if not chunk:
+            sys.exit("the daemon hung up")
+        replies += chunk
+    if replies != b"OK\\n" * 2000:
+        sys.exit("a burst got wrong replies")
+
+with socket.create_connection((host, port), timeout=10) as sock:
+    sock.sendall(burst)
+    end = None
+    while end is None or time.monotonic() < end:
+        sock.sendall(burst)
+        read_replies()
+        if end is None:
+            print("flooding", flush=True)
+            end = time.monotonic() + seconds
+    read_replies()
+"""
+
+
+def test_pipelining_peer_does_not_starve_others(tmp_path):
+    with _spawned_daemon(tmp_path, "--capacity", "1") as (host, port):
+        # The flooder's own socket timeout bounds the wait when this block exits.
+        with subprocess.Popen([sys.executable, "-c", _FLOODER, host, str(port), "1.5"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as flooder:
+            assert flooder.stdout.readline() == "flooding\n"
+            latencies = []
+            with socket.create_connection((host, port), timeout=5) as sock:
+                end = time.monotonic() + 1.0
+                while time.monotonic() < end:
+                    started = time.perf_counter()
+                    sock.sendall(b"PING\n")
+                    assert sock.recv(16) == b"OK\n"
+                    latencies.append(time.perf_counter() - started)
+            _, err = flooder.communicate(timeout=15)
+    assert flooder.returncode == 0, err
+    assert statistics.median(latencies) < 0.005
 
 
 def test_thread_count_does_not_grow_with_connections(live_daemon):
