@@ -68,9 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store-insert / cache-query: object directory")
     parser.add_argument("--keyfile", default="./bench-store.key")
     parser.add_argument("--n-keys", type=_at_least(1), default=DEFAULT_STORE_KEYS)
-    parser.add_argument("--id-size", type=int, default=DEFAULT_STORE_ID_SIZE)
+    parser.add_argument("--id-size", type=_at_least(1), default=DEFAULT_STORE_ID_SIZE)
     parser.add_argument("--value-size", type=_count, default=DEFAULT_STORE_VALUE_SIZE)
-    parser.add_argument("--capacity", type=int, default=50, help="cache-query: cache capacity")
+    parser.add_argument("--capacity", type=_at_least(1), default=50,
+                        help="cache-query: cache capacity")
     parser.add_argument("--queries", type=_count, default=10000, help="cache-query: query count")
     parser.add_argument("--paced", action="store_true",
                         help="ecg-stream: pace batches at the real 93.4 ms cadence")

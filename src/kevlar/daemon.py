@@ -17,6 +17,7 @@ redials after the peer hangs up.  LISTEN mode binds a socket and serves
 any number of peers, one line per peer per turn; a peer beyond the
 descriptor limit waits in the kernel backlog until another hangs up.
 
+An idle daemon sleeps in `select` until shutdown() wakes it at once.
 Graceful shutdown has nothing to flush: the cache is write-through.
 """
 
@@ -28,6 +29,7 @@ import logging
 import os
 import selectors
 import signal
+import socket
 import sys
 import threading
 import time
@@ -73,14 +75,11 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
-#: Reverse mode: how long one dial may take, and the pause before the next.
+#: Reverse mode: how long one dial may take.
 _CONNECT_TIMEOUT = 1.0
-_RETRY_INTERVAL = 0.05
-
-#: After a failed accept() (out of descriptors leaves the peer in the
-#: kernel backlog and the listener readable), the listener is not watched
-#: for this long (seconds), or until a connection is dropped.
-_ACCEPT_PAUSE = 0.1
+#: Seconds from a failed dial, or from a failed accept() that paused the
+#: listener (out of descriptors leaves it readable), to the retry.
+_RETRY_PAUSE = 0.1
 
 
 @dataclass(frozen=True)
@@ -153,11 +152,11 @@ class Daemon:
 
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
-        self._stop = threading.Event()
+        self._stopping = False
         self._conns: set[Connection] = set()
         self._listener: Listener | None = None
-        # When the paused listener is to be watched again (monotonic), or None.
-        self._accept_resume: float | None = None
+        # When _retry() is due (monotonic), or None: in reverse mode at once.
+        self._retry_at = None if config.endpoint.mode is ConnectionMode.LISTEN else time.monotonic()
         # A failure part-way closes what was already opened, then re-raises;
         # otherwise close() closes it all, in reverse order of opening.
         with contextlib.ExitStack() as opened:
@@ -167,6 +166,10 @@ class Daemon:
             opened.callback(self._cache.free)
             self._selector = selectors.DefaultSelector()
             opened.callback(self._selector.close)
+            # shutdown() sends a byte to _wake; the loop head then sees _stopping.
+            wake, self._wake = (opened.enter_context(s) for s in socket.socketpair())
+            self._wake.setblocking(False)
+            self._selector.register(wake, selectors.EVENT_READ)
             endpoint = config.endpoint
             if endpoint.mode is ConnectionMode.LISTEN:
                 self._listener = opened.enter_context(Listener(endpoint.host, endpoint.port))
@@ -183,16 +186,14 @@ class Daemon:
     def serve_forever(self) -> None:
         """Serve every connection until QUIT or shutdown(), then close them."""
         try:
-            while not self._stop.is_set():
-                if self._listener is None and not self._conns:
-                    self._dial()
-                    continue
-                if self._accept_resume is not None and time.monotonic() >= self._accept_resume:
-                    self._watch_listener()
-                for key, events in self._selector.select(timeout=0.1):
-                    if key.data is None:
+            while not self._stopping:
+                if self._retry_at is not None and time.monotonic() >= self._retry_at:
+                    self._retry()
+                timeout = None if self._retry_at is None else self._retry_at - time.monotonic()
+                for key, events in self._selector.select(timeout):
+                    if key.fileobj is self._listener:
                         self._accept()
-                    else:
+                    elif key.data is not None:
                         self._service(key, events)
         finally:
             for conn in list(self._conns):
@@ -200,7 +201,9 @@ class Daemon:
 
     def shutdown(self) -> None:
         """Ask serve_forever() to stop; safe from any thread or a signal handler."""
-        self._stop.set()
+        self._stopping = True
+        with contextlib.suppress(OSError):  # a byte is already pending, or close() ran
+            self._wake.send(b"\0")
 
     def close(self) -> None:
         self._resources.close()
@@ -209,28 +212,22 @@ class Daemon:
 
     def _accept(self) -> None:
         try:
-            conn = self._listener.accept(timeout=0)
+            self._add(self._listener.accept(timeout=0))
         except TransportError:
             # The listener may stay readable, so watching it would spin.
             self._selector.unregister(self._listener)
-            self._accept_resume = time.monotonic() + _ACCEPT_PAUSE
-            return
-        self._add(conn)
+            self._retry_at = time.monotonic() + _RETRY_PAUSE
 
-    def _watch_listener(self) -> None:
-        """Watch the listener again if a failed accept() paused it."""
-        if self._accept_resume is not None:
-            self._accept_resume = None
+    def _retry(self) -> None:
+        """Watch the paused listener again, or dial the peer (reverse mode)."""
+        self._retry_at = None
+        if self._listener is not None:
             self._selector.register(self._listener, selectors.EVENT_READ)
-
-    def _dial(self) -> None:
-        endpoint = self.config.endpoint
-        try:
-            conn = connect(endpoint.host, endpoint.port, timeout=_CONNECT_TIMEOUT)
-        except TransportError:
-            self._stop.wait(_RETRY_INTERVAL)
             return
-        self._add(conn)
+        try:
+            self._add(connect(*self.address, timeout=_CONNECT_TIMEOUT))
+        except TransportError:
+            self._retry_at = time.monotonic() + _RETRY_PAUSE
 
     def _add(self, conn: Connection) -> None:
         logger.debug("serving %s", conn.peer)
@@ -242,7 +239,9 @@ class Daemon:
         self._selector.unregister(conn)
         self._conns.discard(conn)
         conn.close()
-        self._watch_listener()
+        # A freed descriptor for a paused listener, or no peer in reverse mode.
+        if self._listener is None or self._retry_at is not None:
+            self._retry_at = time.monotonic()
 
     def _service(self, key: selectors.SelectorKey, events: int) -> None:
         """One readiness event: write or read once, then handle at most one line."""

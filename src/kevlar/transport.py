@@ -54,6 +54,9 @@ def parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must be HOST:PORT, got {text!r}")
+    # int() would also take "1_0", "+80", " 80" and non-ASCII digits.
+    if not (port.isascii() and port.isdigit()):
+        raise ValueError(f"port must be decimal digits, got {port!r}")
     number = int(port)
     if not 0 <= number <= 65535:
         raise ValueError(f"port out of range: {number}")

@@ -258,6 +258,8 @@ def test_cli_ecg_stream_against_endpoint(live_daemon, capsys):
     ("cache-query", "--queries", "-1"),
     ("store-insert", "--value-size", "-1"),
     ("cache-query", "--n-keys", "0"),
+    ("cache-query", "--capacity", "0"),
+    ("cache-query", "--id-size", "0"),
 ])
 def test_cli_rejects_counts_out_of_range(bench_id, flag, value, capsys):
     with pytest.raises(SystemExit) as exited:

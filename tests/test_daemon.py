@@ -5,6 +5,7 @@ import os
 import random
 import re
 import resource
+import signal
 import socket
 import statistics
 import subprocess
@@ -483,6 +484,72 @@ def test_accept_at_fd_limit_does_not_spin(tmp_path):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+@contextlib.contextmanager
+def _dev_mode_daemon(tmp_path):
+    """Run a listen-mode daemon process under -X dev with ResourceWarning an error.
+
+    Yields the process once it listens, then SIGKILLs it; its stderr goes
+    to tmp_path / "stderr".
+    """
+    with open(tmp_path / "stderr", "w") as stderr, subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "kevlar.daemon",
+         "--mode", "listen", "--endpoint", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key")],
+        stdout=subprocess.PIPE, stderr=stderr, text=True,
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, f"daemon failed to start: {line!r}"
+            yield proc
+        finally:
+            proc.kill()
+
+
+def _context_switches(pid):
+    """Voluntary plus non-voluntary context switches, from /proc/<pid>/status."""
+    with open(f"/proc/{pid}/status") as fh:
+        return sum(int(value) for name, _, value in (line.partition(":") for line in fh)
+                   if name.endswith("ctxt_switches"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status")
+def test_idle_daemon_does_not_wake_up(tmp_path):
+    # A daemon that polled for shutdown() would switch out on every poll.
+    with _dev_mode_daemon(tmp_path) as proc:
+        time.sleep(0.2)
+        before = _context_switches(proc.pid)
+        time.sleep(2)
+        assert _context_switches(proc.pid) - before <= 2
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_signal_ends_idle_daemon_cleanly(tmp_path, signum):
+    # The handler runs on the main thread while select() waits with no
+    # timeout; select() is then retried, so the handler must wake it.
+    with _dev_mode_daemon(tmp_path) as proc:
+        proc.send_signal(signum)
+        assert proc.wait(timeout=5) == 0
+    err = (tmp_path / "stderr").read_text()
+    assert "Warning" not in err and "Traceback" not in err, err
+
+
+def test_reverse_mode_at_a_closed_port_stops_promptly(daemon_config):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with daemon_in_thread(daemon_config(mode=ConnectionMode.REVERSE_CONNECT, port=port)):
+        time.sleep(0.3)  # dials are refused; the daemon waits to dial again
+        stopping = time.monotonic()
+    # daemon_in_thread waits up to 5 s for the serving thread to end.
+    assert time.monotonic() - stopping < 1.0
+
+
+def test_shutdown_after_close_does_not_raise(daemon_config):
+    daemon = Daemon(daemon_config())
+    daemon.close()
+    daemon.shutdown()
 
 
 def test_reenc_keys_never_leave_daemon(daemon_config, caplog):

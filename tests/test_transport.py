@@ -231,7 +231,10 @@ def test_parse_hostport(text, expected):
     assert parse_hostport(text) == expected
 
 
-@pytest.mark.parametrize("text", ["noport", ":80", "h:", "h:x", "h:70000", "h:-1"])
+@pytest.mark.parametrize("text", [
+    "noport", ":80", "h:", "h:x", "h:70000", "h:-1",
+    "h:1_0", "h:+80", "h: 80", "h:\u0668\u0660",
+])
 def test_parse_hostport_rejects(text):
     with pytest.raises(ValueError):
         parse_hostport(text)
