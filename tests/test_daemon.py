@@ -518,7 +518,7 @@ def _context_switches(pid):
 def test_idle_daemon_does_not_wake_up(tmp_path):
     # A daemon that polled for shutdown() would switch out on every poll.
     with _dev_mode_daemon(tmp_path) as proc:
-        time.sleep(0.2)
+        time.sleep(0.2)  # let it reach select()
         before = _context_switches(proc.pid)
         time.sleep(2)
         assert _context_switches(proc.pid) - before <= 2
