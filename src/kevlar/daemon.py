@@ -12,12 +12,13 @@ the kernel's socket buffers queue its replies; a peer that stops reading
 them cannot stall the others or grow the daemon's buffers.
 
 In reverse-connect mode (the default) the daemon dials out to the
-untrusted peer's listening socket, retrying until it appears, and
-redials after the peer hangs up.  LISTEN mode binds a socket and serves
-any number of peers, one line per peer per turn; a peer beyond the
+untrusted peer's socket every `_RETRY_PAUSE` until it listens, and
+redials at once after the peer hangs up.  LISTEN mode binds a socket and
+serves any number of peers, one line per peer per turn; a peer beyond the
 descriptor limit waits in the kernel backlog until another hangs up.
 
-An idle daemon sleeps in `select` until shutdown() wakes it at once.
+A daemon that listens, or has its reverse-mode peer, sleeps in `select`
+when idle until shutdown() wakes it at once.
 Graceful shutdown has nothing to flush: the cache is write-through.
 """
 
@@ -79,7 +80,7 @@ logger = logging.getLogger(__name__)
 _CONNECT_TIMEOUT = 1.0
 #: Seconds from a failed dial, or from a failed accept() that paused the
 #: listener (out of descriptors leaves it readable), to the retry.
-_RETRY_PAUSE = 0.1
+_RETRY_PAUSE = 0.05
 
 
 @dataclass(frozen=True)

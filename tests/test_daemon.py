@@ -416,20 +416,27 @@ def test_python_m_runs_without_runtime_warning(module, prog):
 
 
 @contextlib.contextmanager
-def _spawned_daemon(tmp_path, *flags):
-    """Run a listen-mode daemon process; yield its (host, port), then SIGKILL it."""
+def _daemon_process(tmp_path, *flags, python_flags=(), stderr=subprocess.DEVNULL):
+    """Run a listen-mode daemon process; yield it and its (host, port), then SIGKILL it."""
     with subprocess.Popen(
-        [sys.executable, "-m", "kevlar.daemon",
+        [sys.executable, *python_flags, "-m", "kevlar.daemon",
          "--mode", "listen", "--endpoint", "127.0.0.1:0",
          "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key"), *flags],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        stdout=subprocess.PIPE, stderr=stderr, text=True,
     ) as proc:  # on exit: close the pipe and reap the process
         try:
             line = proc.stdout.readline()
             assert "listening on" in line, f"daemon failed to start: {line!r}"
-            yield parse_hostport(line.strip().rsplit(" ", 1)[-1])
+            yield proc, parse_hostport(line.strip().rsplit(" ", 1)[-1])
         finally:
             proc.kill()  # SIGKILL: no shutdown path runs
+
+
+@contextlib.contextmanager
+def _spawned_daemon(tmp_path, *flags):
+    """Run a listen-mode daemon process; yield its (host, port), then SIGKILL it."""
+    with _daemon_process(tmp_path, *flags) as (_, address):
+        yield address
 
 
 def _cpu_seconds(pid):
@@ -486,25 +493,8 @@ def test_accept_at_fd_limit_does_not_spin(tmp_path):
         proc.stdout.close()
 
 
-@contextlib.contextmanager
-def _dev_mode_daemon(tmp_path):
-    """Run a listen-mode daemon process under -X dev with ResourceWarning an error.
-
-    Yields the process once it listens, then SIGKILLs it; its stderr goes
-    to tmp_path / "stderr".
-    """
-    with open(tmp_path / "stderr", "w") as stderr, subprocess.Popen(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "kevlar.daemon",
-         "--mode", "listen", "--endpoint", "127.0.0.1:0",
-         "--store-dir", str(tmp_path / "store"), "--keyfile", str(tmp_path / "key")],
-        stdout=subprocess.PIPE, stderr=stderr, text=True,
-    ) as proc:
-        try:
-            line = proc.stdout.readline()
-            assert "listening on" in line, f"daemon failed to start: {line!r}"
-            yield proc
-        finally:
-            proc.kill()
+#: Interpreter flags under which a leaked socket or file fails the daemon.
+_DEV_MODE = ("-X", "dev", "-W", "error::ResourceWarning")
 
 
 def _context_switches(pid):
@@ -517,7 +507,7 @@ def _context_switches(pid):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status")
 def test_idle_daemon_does_not_wake_up(tmp_path):
     # A daemon that polled for shutdown() would switch out on every poll.
-    with _dev_mode_daemon(tmp_path) as proc:
+    with _daemon_process(tmp_path, python_flags=_DEV_MODE) as (proc, _):
         time.sleep(0.2)  # let it reach select()
         before = _context_switches(proc.pid)
         time.sleep(2)
@@ -528,10 +518,10 @@ def test_idle_daemon_does_not_wake_up(tmp_path):
 def test_signal_ends_idle_daemon_cleanly(tmp_path, signum):
     # The handler runs on the main thread while select() waits with no
     # timeout; select() is then retried, so the handler must wake it.
-    with _dev_mode_daemon(tmp_path) as proc:
+    with _daemon_process(tmp_path, python_flags=_DEV_MODE, stderr=subprocess.PIPE) as (proc, _):
         proc.send_signal(signum)
         assert proc.wait(timeout=5) == 0
-    err = (tmp_path / "stderr").read_text()
+        err = proc.stderr.read()
     assert "Warning" not in err and "Traceback" not in err, err
 
 
