@@ -85,6 +85,7 @@ class Cache:
         self.config = config
         self.stats = CacheStats()
         self._store = store
+        self._lru = config.policy is Policy.LRU
         # Iteration order is eviction order: the first key is the next
         # victim, the last the most recent entry.
         self._entries: OrderedDict[bytes, bytes] = OrderedDict()
@@ -126,13 +127,18 @@ class Cache:
         failures other than absence propagate unchanged.
         """
         self._check_live()
-        id = self._check_id(id)
         entries = self._entries
-        if id in entries:
+        # Only checked ids are inserted, so a resident bytes id needs no
+        # check; any other type (a bytearray cannot be hashed) is checked first.
+        value = entries.get(id) if type(id) is bytes else None
+        if value is None:
+            id = self._check_id(id)
+            value = entries.get(id)
+        if value is not None:
             self.stats.hits += 1
-            if self.config.policy is Policy.LRU:
+            if self._lru:
                 entries.move_to_end(id)
-            return entries[id]
+            return value
         try:
             value = self._store.read_ss(id)
         except NotFoundError:
@@ -164,7 +170,7 @@ class Cache:
         entries = self._entries
         if id in entries:
             entries[id] = value
-            if self.config.policy is Policy.LRU:
+            if self._lru:
                 entries.move_to_end(id)
         else:
             self._insert(id, value)

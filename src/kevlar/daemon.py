@@ -12,10 +12,12 @@ the kernel's socket buffers queue its replies; a peer that stops reading
 them cannot stall the others or grow the daemon's buffers.
 
 In reverse-connect mode (the default) the daemon dials out to the
-untrusted peer's socket every `_RETRY_PAUSE` until it listens, and
-redials at once after the peer hangs up.  LISTEN mode binds a socket and
-serves any number of peers, one line per peer per turn; a peer beyond the
-descriptor limit waits in the kernel backlog until another hangs up.
+untrusted peer's socket until it listens, waiting `_RETRY_PAUSE` after
+the first refused dial and twice as long after each further one, up to
+`_RETRY_PAUSE_MAX`; it redials at once after the peer hangs up.  LISTEN
+mode binds a socket and serves any number of peers, one line per peer
+per turn; a peer beyond the descriptor limit waits in the kernel backlog
+until another hangs up.
 
 A daemon that listens, or has its reverse-mode peer, sleeps in `select`
 when idle until shutdown() wakes it at once.
@@ -81,6 +83,9 @@ _CONNECT_TIMEOUT = 1.0
 #: Seconds from a failed dial, or from a failed accept() that paused the
 #: listener (out of descriptors leaves it readable), to the retry.
 _RETRY_PAUSE = 0.05
+#: Reverse mode: each refused dial doubles the pause up to this, and a
+#: connection resets it, so a daemon whose peer is away wakes once a second.
+_RETRY_PAUSE_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,7 @@ class Daemon:
         self._listener: Listener | None = None
         # When _retry() is due (monotonic), or None: in reverse mode at once.
         self._retry_at = None if config.endpoint.mode is ConnectionMode.LISTEN else time.monotonic()
+        self._dial_pause = _RETRY_PAUSE
         # A failure part-way closes what was already opened, then re-raises;
         # otherwise close() closes it all, in reverse order of opening.
         with contextlib.ExitStack() as opened:
@@ -228,7 +234,10 @@ class Daemon:
         try:
             self._add(connect(*self.address, timeout=_CONNECT_TIMEOUT))
         except TransportError:
-            self._retry_at = time.monotonic() + _RETRY_PAUSE
+            self._retry_at = time.monotonic() + self._dial_pause
+            self._dial_pause = min(2 * self._dial_pause, _RETRY_PAUSE_MAX)
+        else:
+            self._dial_pause = _RETRY_PAUSE
 
     def _add(self, conn: Connection) -> None:
         logger.debug("serving %s", conn.peer)

@@ -119,6 +119,8 @@ class SecureStore:
         if len(sealing_key) != KEY_SIZE:
             raise BadKeyfileError(f"sealing key must be {KEY_SIZE} bytes")
         self._root = Path(root_dir)
+        # Object names are joined as strings, not Paths: every cache miss reads.
+        self._prefix = os.path.join(self._root, "")
         self._aead = AESGCM(sealing_key)
         self._open = True
 
@@ -139,9 +141,11 @@ class SecureStore:
         Hex naming confines any id (including path-hostile bytes) to the
         store directory.
         """
+        return Path(self._object_file(bytes(id)))
+
+    def _object_file(self, id: bytes) -> str:
         self._check_open()
-        digest = hashlib.sha256(bytes(id)).hexdigest()
-        return self._root / (digest + OBJECT_SUFFIX)
+        return self._prefix + hashlib.sha256(id).hexdigest() + OBJECT_SUFFIX
 
     def write_ss(self, id: bytes, value: bytes) -> None:
         """Seal value under id, atomically replacing any previous object."""
@@ -159,9 +163,20 @@ class SecureStore:
     def read_ss(self, id: bytes) -> bytes:
         """Return the most recently written value for id, in cleartext."""
         id = bytes(id)
-        path = self.object_path(id)
+        path = self._object_file(id)
         try:
-            blob = path.read_bytes()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                # A published object is never written again, so its size is final.
+                size = os.fstat(fd).st_size
+                blob = b""
+                while len(blob) < size:
+                    chunk = os.read(fd, size - len(blob))
+                    if not chunk:
+                        break
+                    blob += chunk
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             raise NotFoundError(f"no object for id {id!r}") from None
         except OSError as exc:

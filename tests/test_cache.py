@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -172,6 +173,35 @@ def test_id_and_value_bounds():
     with pytest.raises(ValueError):
         cache.save_object(b"", b"v")
     assert len(cache) == 0
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_full_cache_checks_ids_that_are_not_resident(policy):
+    cache, _ = make_cache(capacity=2, id_size=4, policy=policy)
+    cache.save_object(b"a", b"va")
+    cache.save_object(b"b", b"vb")
+    stats = dataclasses.replace(cache.stats)
+    with pytest.raises(ValueError) as info:
+        cache.query(b"")
+    assert type(info.value) is ValueError
+    with pytest.raises(IdTooLongError):
+        cache.query(b"x" * 5)
+    assert cache.stats == stats
+    assert cache.resident_ids() == [b"a", b"b"]
+    # An id that is not bytes is checked, converted and then found.
+    assert cache.query(bytearray(b"a")) == b"va"
+    assert cache.stats.hits == stats.hits + 1
+
+
+def test_freed_cache_raises_before_any_lookup():
+    cache, store = make_cache()
+    cache.save_object(b"a", b"va")
+    cache.free()
+    store.fail_reads = True
+    for key_id in (b"a", b"ghost", b"", b"x" * 13, bytearray(b"a")):
+        with pytest.raises(RuntimeError):
+            cache.query(key_id)
+    assert cache.stats.hits == cache.stats.misses == cache.stats.not_found == 0
 
 
 def test_store_write_failure_leaves_volatile_unchanged():

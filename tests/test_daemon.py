@@ -536,6 +536,32 @@ def test_reverse_mode_at_a_closed_port_stops_promptly(daemon_config):
     assert time.monotonic() - stopping < 1.0
 
 
+def test_reverse_mode_backs_off_while_dials_are_refused(daemon_config, monkeypatch):
+    # At a fixed 50 ms pause this would be about 30 dials.
+    dials = []
+
+    def counted(*args, **kwargs):
+        dials.append(time.monotonic())
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(daemon_module, "connect", counted)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with daemon_in_thread(daemon_config(mode=ConnectionMode.REVERSE_CONNECT, port=port)):
+        time.sleep(1.5)
+        refused = dials[:]
+        with Listener("127.0.0.1", port) as listener:
+            conn = listener.accept(timeout=5)
+        conn.close()  # the peer hangs up and no longer listens
+        time.sleep(0.3)
+    assert 3 <= len(refused) <= 7, refused
+    pauses = [b - a for a, b in zip(refused, refused[1:])]
+    assert pauses[-1] > 2 * pauses[0], pauses
+    # The connection reset the pause: the redials come 50 ms apart again.
+    assert len(dials) - len(refused) >= 3, dials
+
+
 def test_shutdown_after_close_does_not_raise(daemon_config):
     daemon = Daemon(daemon_config())
     daemon.close()

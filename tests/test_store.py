@@ -2,7 +2,6 @@ import hashlib
 import os
 import struct
 import threading
-from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -60,10 +59,10 @@ def test_roundtrip_and_reopen(tmp_path, store):
 
 def test_io_error_detail_names_no_path(store, monkeypatch):
     # An OSError without strerror is named by its type, never by str(exc).
-    def fail(self):
-        raise OSError(f"cannot open {self}")
+    def fail(path, flags):
+        raise OSError(f"cannot open {path}")
 
-    monkeypatch.setattr(Path, "read_bytes", fail)
+    monkeypatch.setattr("kevlar.store.os.open", fail)
     with pytest.raises(StoreIOError) as info:
         store.read_ss(b"a")
     assert str(info.value) == "cannot read object for id b'a': OSError"
@@ -205,6 +204,17 @@ def test_roundtrip_property(tmp_path_factory, id, value):
 
 def test_roundtrip_64k(store):
     value = os.urandom(64 * 1024)
+    store.write_ss(b"big", value)
+    assert store.read_ss(b"big") == value
+
+
+@pytest.mark.parametrize("read_limit", [None, 4096])
+def test_roundtrip_200k_is_read_whole(store, monkeypatch, read_limit):
+    # read_ss reads to the object's size; the 4096 case makes every read short.
+    if read_limit is not None:
+        read = os.read
+        monkeypatch.setattr("kevlar.store.os.read", lambda fd, n: read(fd, min(n, read_limit)))
+    value = os.urandom(200 * 1024)
     store.write_ss(b"big", value)
     assert store.read_ss(b"big") == value
 
