@@ -80,8 +80,8 @@ logger = logging.getLogger(__name__)
 
 #: Reverse mode: how long one dial may take.
 _CONNECT_TIMEOUT = 1.0
-#: Seconds from a failed dial, or from a failed accept() that paused the
-#: listener (out of descriptors leaves it readable), to the retry.
+#: Seconds from the first refused dial, or from a failed accept() that paused
+#: the listener (out of descriptors leaves it readable), to the retry.
 _RETRY_PAUSE = 0.05
 #: Reverse mode: each refused dial doubles the pause up to this, and a
 #: connection resets it, so a daemon whose peer is away wakes once a second.
