@@ -16,8 +16,9 @@ refused as malformed.  Overwrites go through a temp-file-then-rename,
 so a reader never observes a torn object.
 
 The sealing key lives in a keyfile (raw 32 bytes, owner-only); this is
-an explicitly weaker stand-in for a hardware-unique key.  It is written
-the same way, but published with a hard link, so it is never replaced.
+an explicitly weaker stand-in for a hardware-unique key.  It is read and
+written the same way, but published with a hard link, so it is never
+replaced: an opener whose link loses to another's loads the published key.
 """
 
 from __future__ import annotations
@@ -47,35 +48,50 @@ _HEADER = MAGIC + bytes([VERSION])
 _HEADER_SIZE = len(_HEADER) + NONCE_SIZE
 
 
-def _load_or_create_key(keyfile: Path) -> bytes:
-    if keyfile.exists():
-        try:
-            key = keyfile.read_bytes()
-        except OSError as exc:
-            raise StoreIOError(f"cannot read keyfile {keyfile}: {exc}") from exc
-        if len(key) != KEY_SIZE:
-            raise BadKeyfileError(
-                f"keyfile {keyfile} holds {len(key)} bytes, expected {KEY_SIZE}"
-            )
-        return key
-    key = os.urandom(KEY_SIZE)
+def _read_file(path: str) -> bytes:
+    """The whole file: one open, one fstat for its size, reads up to it, close."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        # A link, unlike a rename, never replaces a key another opener made.
-        _write_file(keyfile, key, os.link)
+        # A published file is never written again, so its size is final.
+        size = os.fstat(fd).st_size
+        blob = b""
+        while len(blob) < size and (chunk := os.read(fd, size - len(blob))):
+            blob += chunk
+        return blob
+    finally:
+        os.close(fd)
+
+
+def _load_or_create_key(keyfile: str, create: bool = True) -> bytes:
+    try:
+        key = _read_file(keyfile)
     except OSError as exc:
-        raise StoreIOError(f"cannot create keyfile {keyfile}: {exc}") from exc
-    logger.info("generated new sealing key at %s", keyfile)
+        if not (create and isinstance(exc, FileNotFoundError)):
+            raise StoreIOError(f"cannot read keyfile {keyfile}: {exc}") from exc
+        key = os.urandom(KEY_SIZE)
+        try:
+            # A link, unlike a rename, never replaces a key another opener made.
+            _write_file(keyfile, key, os.link)
+        except FileExistsError:
+            # Another opener published its key first: load that one.
+            return _load_or_create_key(keyfile, create=False)
+        except OSError as err:
+            raise StoreIOError(f"cannot create keyfile {keyfile}: {err}") from err
+        logger.info("generated new sealing key at %s", keyfile)
+        return key
+    if len(key) != KEY_SIZE:
+        raise BadKeyfileError(f"keyfile {keyfile} holds {len(key)} bytes, expected {KEY_SIZE}")
     return key
 
 
-def _write_file(path: Path, data: bytes, publish) -> None:
+def _write_file(path: str, data: bytes, publish) -> None:
     """Write data to path through an fsynced, owner-only temp file beside it.
 
     publish(temp, path) puts the temp file in place: os.replace overwrites
     path and os.link fails if path exists.  Either way path never holds
     part of data, and the temp name is gone afterwards.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".write-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".write-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -103,8 +119,7 @@ def open_store(root_dir: str | Path, keyfile: str | Path) -> "SecureStore":
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StoreIOError(f"cannot create store directory {root}: {exc}") from exc
-    key = _load_or_create_key(Path(keyfile))
-    return SecureStore(root, key)
+    return SecureStore(root, _load_or_create_key(str(Path(keyfile))))
 
 
 class SecureStore:
@@ -150,7 +165,7 @@ class SecureStore:
     def write_ss(self, id: bytes, value: bytes) -> None:
         """Seal value under id, atomically replacing any previous object."""
         id = bytes(id)
-        path = self.object_path(id)
+        path = self._object_file(id)
         if not id:
             raise ValueError("id must be non-empty")
         nonce = os.urandom(NONCE_SIZE)
@@ -163,20 +178,8 @@ class SecureStore:
     def read_ss(self, id: bytes) -> bytes:
         """Return the most recently written value for id, in cleartext."""
         id = bytes(id)
-        path = self._object_file(id)
         try:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                # A published object is never written again, so its size is final.
-                size = os.fstat(fd).st_size
-                blob = b""
-                while len(blob) < size:
-                    chunk = os.read(fd, size - len(blob))
-                    if not chunk:
-                        break
-                    blob += chunk
-            finally:
-                os.close(fd)
+            blob = _read_file(self._object_file(id))
         except FileNotFoundError:
             raise NotFoundError(f"no object for id {id!r}") from None
         except OSError as exc:

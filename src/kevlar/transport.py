@@ -175,10 +175,7 @@ class Connection:
         except BlockingIOError:
             return
         except OSError as exc:
-            was_open = self._open
             self.close()
-            if not was_open:
-                raise PeerClosedError("connection closed locally") from exc
             raise TransportError(f"recv failed: {exc}") from exc
         if not chunk:
             self.close()

@@ -8,7 +8,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from kevlar.errors import BadKeyfileError, IntegrityError, NotFoundError, StoreIOError
-from kevlar.store import KEY_SIZE, MAGIC, NONCE_SIZE, OBJECT_SUFFIX, TAG_SIZE, open_store
+from kevlar.store import (
+    KEY_SIZE, MAGIC, NONCE_SIZE, OBJECT_SUFFIX, TAG_SIZE, SecureStore, open_store,
+)
 
 
 def _dir_digest(root) -> dict[str, bytes]:
@@ -44,6 +46,74 @@ def test_keyfile_that_fails_to_sync_is_not_left_behind(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["store"]
     open_store(tmp_path / "store", keyfile).close()
     assert len(keyfile.read_bytes()) == KEY_SIZE
+
+
+def test_opener_that_loses_the_keyfile_link_loads_the_published_key(tmp_path, monkeypatch):
+    # Another opener publishes its key between our read and our link.
+    keyfile = tmp_path / "sealing.key"
+    winner_key = os.urandom(KEY_SIZE)
+    (tmp_path / "store").mkdir()
+    winner = SecureStore(tmp_path / "store", winner_key)
+    winner.write_ss(b"id", b"sealed by the winner")
+    real_link = os.link
+
+    def racing_link(src, dst):
+        with open(dst, "wb") as fh:
+            fh.write(winner_key)
+        return real_link(src, dst)
+
+    monkeypatch.setattr("kevlar.store.os.link", racing_link)
+    handle = open_store(tmp_path / "store", keyfile)
+    monkeypatch.undo()
+    assert handle.read_ss(b"id") == b"sealed by the winner"
+    assert keyfile.read_bytes() == winner_key
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sealing.key", "store"]
+    handle.close()
+
+
+def test_keyfile_that_cannot_be_read_raises_store_io_error(tmp_path, monkeypatch):
+    keyfile = tmp_path / "sealing.key"
+    keyfile.write_bytes(os.urandom(KEY_SIZE))
+    real_open = os.open
+
+    def fail_on_keyfile(path, flags, *args):
+        if os.fspath(path) == str(keyfile):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr("kevlar.store.os.open", fail_on_keyfile)
+    with pytest.raises(StoreIOError) as info:
+        open_store(tmp_path / "store", keyfile)
+    assert str(info.value).startswith(f"cannot read keyfile {keyfile}: ")
+
+
+def test_default_paths_are_made_in_the_cwd(tmp_path, monkeypatch):
+    from kevlar.daemon import build_parser
+
+    monkeypatch.chdir(tmp_path)
+    for name in [n for n in os.environ if n.startswith("KEVLAR_")]:
+        monkeypatch.delenv(name)
+    args = build_parser().parse_args([])
+    assert (args.store_dir, args.keyfile) == ("./kevlar-store", "./kevlar.key")
+    handle = open_store(args.store_dir, args.keyfile)
+    handle.write_ss(b"id", b"value")
+    handle.close()
+    assert (tmp_path / "kevlar-store").is_dir()
+    assert len((tmp_path / "kevlar.key").read_bytes()) == KEY_SIZE
+    assert ((tmp_path / "kevlar.key").stat().st_mode & 0o777) == 0o600
+    reopened = open_store(args.store_dir, args.keyfile)
+    assert reopened.read_ss(b"id") == b"value"
+    reopened.close()
+
+
+def test_bare_keyfile_name_is_made_in_the_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    open_store("s", "k").close()
+    assert len((tmp_path / "k").read_bytes()) == KEY_SIZE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k", "s"]
+    first = (tmp_path / "k").read_bytes()
+    open_store("s", "k").close()
+    assert (tmp_path / "k").read_bytes() == first
 
 
 def test_roundtrip_and_reopen(tmp_path, store):
