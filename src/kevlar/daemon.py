@@ -96,8 +96,7 @@ class DaemonConfig:
     cache: CacheConfig
 
 
-def _ok(*fields: bytes) -> WireFrame:
-    return WireFrame(OP_OK, fields)
+_OK = WireFrame(OP_OK)
 
 
 def _err(code: ErrorCode, detail: str) -> WireFrame:
@@ -124,17 +123,17 @@ def dispatch(frame: WireFrame, cache: Cache) -> WireFrame:
     try:
         if op == OP_SAVE:
             cache.save_object(fields[0], fields[1])
-            return _ok()
+            return _OK
         if op == OP_QUERY:
-            return _ok(cache.query(fields[0]))
+            return WireFrame(OP_OK, (cache.query(fields[0]),))
         if op == OP_REENC:
             src_key = cache.query(fields[0])
             dst_key = cache.query(fields[1])
             if len(src_key) != crypto.KEY_SIZE or len(dst_key) != crypto.KEY_SIZE:
                 return _err(ErrorCode.CRYPTO_FAIL, "stored value is not a 32-byte key")
             envelope = crypto.CipherEnvelope.from_bytes(fields[2])
-            return _ok(crypto.reencrypt(src_key, dst_key, envelope).to_bytes())
-        return _ok()  # PING, QUIT
+            return WireFrame(OP_OK, (crypto.reencrypt(src_key, dst_key, envelope).to_bytes(),))
+        return _OK  # PING, QUIT
     except (IdTooLongError, ValueTooLongError) as exc:
         return _err(ErrorCode.TOO_LARGE, str(exc))
     except NotFoundError as exc:
@@ -280,35 +279,36 @@ class Daemon:
             self._selector.modify(conn, wanted, conn)
 
     def _handle_frame(self, conn: Connection, raw: bytes) -> None:
+        """Answer one line with one reply and one DEBUG line that quotes no request bytes."""
+        # Only a request op is named: any other op, or a malformed line, may hold
+        # an id's base64.  The ERR detail sent back quotes the peer's own bytes.
+        op = "unparsed line"
         try:
             frame = frame_parse(raw)
-        except InvalidFrameError as exc:
-            logger.debug("rejecting malformed frame from %s: %s", conn.peer, exc)
-            self._respond(conn, _err(ErrorCode.BAD_REQUEST, str(exc)))
-            return
-        try:
+            op = frame.op if frame.op in _ARITY else f"{len(frame.op)}-letter op"
             response = dispatch(frame, self._cache)
+        except InvalidFrameError as exc:
+            op = f"malformed {len(raw)}-byte line"
+            response = _err(ErrorCode.BAD_REQUEST, str(exc))
         except Exception as exc:
             # One thread serves every peer: an unforeseen failure answers
             # this request and the loop goes on.  Only the exception type
             # and stack are logged; the message may quote request fields.
             logger.error(
-                "%s %s failed: unexpected %s\n%s", conn.peer, frame.op, type(exc).__name__,
+                "%s %s failed: unexpected %s\n%s", conn.peer, op, type(exc).__name__,
                 "".join(traceback.format_tb(exc.__traceback__)),
             )
             response = _err(ErrorCode.STORE_FAIL, "internal error")
-        logger.debug("%s %s -> %s", conn.peer, frame.op, response.op)
-        self._respond(conn, response)
-        if frame.op == OP_QUIT and response.op == OP_OK:
-            logger.info("QUIT received, shutting down")
-            self.shutdown()
-
-    def _respond(self, conn: Connection, response: WireFrame) -> None:
         try:
             data = frame_serialize(response)
         except InvalidFrameError:
-            data = frame_serialize(_err(ErrorCode.TOO_LARGE, "response exceeds frame limit"))
+            response = _err(ErrorCode.TOO_LARGE, "response exceeds frame limit")
+            data = frame_serialize(response)
+        logger.debug("%s %s -> %s", conn.peer, op, response.op)
         conn.send(data)
+        if op == OP_QUIT and response.op == OP_OK:
+            logger.info("QUIT received, shutting down")
+            self.shutdown()
 
 
 @contextlib.contextmanager

@@ -73,17 +73,13 @@ class Connection:
         self._out = bytearray()
         self._open = True
         try:
-            self._peer = "%s:%d" % sock.getpeername()[:2]
+            self.peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
-            self._peer = "?"
+            self.peer = "?"
 
     @property
     def is_open(self) -> bool:
         return self._open
-
-    @property
-    def peer(self) -> str:
-        return self._peer
 
     @property
     def pending(self) -> int:

@@ -96,7 +96,8 @@ def frame_serialize(frame: WireFrame) -> bytes:
     if not _OP_RE.match(op):
         raise InvalidFrameError(f"illegal op tag: {frame.op!r}")
     parts = [op]
-    parts.extend(binascii.b2a_base64(f, newline=False) for f in frame.fields)
+    for field in frame.fields:
+        parts.append(binascii.b2a_base64(field, newline=False))
     line = b"|".join(parts) + b"\n"
     if len(line) > MAX_FRAME:
         raise FrameTooLargeError(f"frame is {len(line)} bytes, limit {MAX_FRAME}")
@@ -118,7 +119,7 @@ def frame_parse(line: bytes) -> WireFrame:
         # Quote only a prefix: the op may run to the end of a MAX_FRAME line.
         raise InvalidFrameError(f"illegal op tag: {op[:40]!r}")
     try:
-        decoded = tuple(_decode_canonical(f) for f in fields)
+        decoded = tuple(map(_decode_canonical, fields))
     except InvalidBase64Error as exc:
         raise InvalidFrameError(f"invalid base64 field: {exc}") from exc
     return WireFrame(op.decode(), decoded)

@@ -28,7 +28,7 @@ from kevlar.daemon import (
     dispatch,
 )
 from kevlar.errors import PeerClosedError
-from kevlar.store import OBJECT_SUFFIX, open_store
+from kevlar.store import OBJECT_SUFFIX, SecureStore, open_store
 from kevlar.transport import Connection, ConnectionMode, Listener, connect, parse_hostport
 from kevlar.wire import (
     MAX_FRAME,
@@ -864,3 +864,84 @@ def test_unexpected_exception_answers_store_fail_and_keeps_serving(live_daemon, 
     assert len(errors) == 1 and "RuntimeError" in errors[0].getMessage()
     log_text = "\n".join(r.getMessage() for r in caplog.records)
     assert "secret-id" not in log_text and "secret-value" not in log_text
+
+
+def test_log_lines_quote_no_request_bytes(live_daemon, caplog):
+    # With no "|" after its op, the id's base64 becomes part of the op
+    # ("a2V5LTE=" is b"key-1"); "QUERYQUFB" is a legal but unknown op
+    # ("QUFB" is b"AAA").  The ERR detail goes back to the peer that sent it.
+    replies = {
+        b"SAVEa2V5LTE=|dmFs\n": "illegal op tag: b'SAVEa2V5LTE='",
+        b"QUERYQUFB\n": "unknown op QUERYQUFB",
+    }
+    with caplog.at_level(logging.DEBUG, logger="kevlar.daemon"):
+        with _dial(live_daemon) as conn:
+            assert exchange(conn, WireFrame("PING")).op == OP_OK  # after "serving ..."
+            for line, detail in replies.items():
+                logged = len(caplog.records)
+                conn.send(line)
+                response = frame_parse(conn.receive_frame())
+                assert _err_code(response) == "BAD_REQUEST"
+                assert _err_detail(response) == detail
+                new = [(r.name, r.levelno) for r in caplog.records[logged:]]
+                assert new == [("kevlar.daemon", logging.DEBUG)]
+    for record in caplog.records:
+        for secret in ("a2V5LTE=", "key-1", "QUFB"):
+            assert secret not in record.getMessage()
+
+
+_PERFBENCH_HOOKS = [
+    (daemon_module, "frame_parse"), (daemon_module, "dispatch"),
+    (daemon_module, "frame_serialize"), (crypto, "reencrypt"),
+    (Cache, "query"), (Cache, "save_object"),
+    (SecureStore, "read_ss"), (SecureStore, "write_ss"),
+    (Connection, "receive_frame"), (Connection, "send"),
+]
+_EVERY_REQUEST = {"receive_frame": 1, "frame_parse": 1, "frame_serialize": 1, "send": 1}
+
+
+def _line(op, *fields):
+    return frame_serialize(WireFrame(op, fields))
+
+
+@pytest.mark.parametrize("label, capacity, make_line, reply, calls", [
+    ("PING", 2, lambda k1: b"PING\n", b"OK\n", {"dispatch": 1}),
+    ("SAVE", 2, lambda k1: _line("SAVE", b"k3", b"v"), b"OK\n",
+     {"dispatch": 1, "save_object": 1, "write_ss": 1}),
+    ("QUERY hit", 2, lambda k1: _line("QUERY", b"k2"), b"OK|", {"dispatch": 1, "query": 1}),
+    ("QUERY miss", 1, lambda k1: _line("QUERY", b"k1"), b"OK|",
+     {"dispatch": 1, "query": 1, "read_ss": 1}),
+    ("REENC", 2, lambda k1: _line("REENC", b"k1", b"k2", crypto.encrypt(k1, b"x").to_bytes()),
+     b"OK|", {"dispatch": 1, "query": 2, "reencrypt": 1}),
+    ("malformed line", 2, lambda k1: b"SAVEa2V5LTE=|dmFs\n", b"ERR|", {}),
+])
+def test_perfbench_hooks_count_every_op(daemon_config, monkeypatch, label, capacity, make_line,
+                                        reply, calls):
+    # perfbench's tracer wraps these attributes and matches the line that
+    # receive_frame returned to frame_parse's argument by id().
+    k1, k2 = crypto.generate_key(), crypto.generate_key()
+    line = make_line(k1)
+    with daemon_in_thread(daemon_config(capacity=capacity)) as daemon, \
+            socket.create_connection(daemon.address, timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        for key_id, key in ((b"k1", k1), (b"k2", k2)):
+            sock.sendall(frame_serialize(WireFrame("SAVE", (key_id, key))))
+            assert replies.readline() == b"OK\n"
+
+        counts = dict.fromkeys((name for _, name in _PERFBENCH_HOOKS), 0)
+        returned, parsed = [], []
+        for owner, name in _PERFBENCH_HOOKS:
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                if _name == "frame_parse":
+                    parsed.append(args[0])
+                result = _fn(*args, **kwargs)
+                if _name == "receive_frame":
+                    returned.append(result)
+                return result
+
+            monkeypatch.setattr(owner, name, counted)
+        sock.sendall(line)
+        assert replies.readline().startswith(reply), label
+    assert counts == {name: 0 for name in counts} | _EVERY_REQUEST | calls
+    assert len(returned) == len(parsed) == 1 and parsed[0] is returned[0]
