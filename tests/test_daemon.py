@@ -943,5 +943,5 @@ def test_perfbench_hooks_count_every_op(daemon_config, monkeypatch, label, capac
             monkeypatch.setattr(owner, name, counted)
         sock.sendall(line)
         assert replies.readline().startswith(reply), label
-    assert counts == {name: 0 for name in counts} | _EVERY_REQUEST | calls
+    assert counts == dict.fromkeys(counts, 0) | _EVERY_REQUEST | calls
     assert len(returned) == len(parsed) == 1 and parsed[0] is returned[0]
